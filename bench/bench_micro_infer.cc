@@ -3,7 +3,10 @@
 //    1/4/8 worker threads (the PR-5 speedup, tracked so it never regresses);
 //  - padding-free packed-batch inference (float and int8) vs the
 //    per-example engine, swept over batch sizes 1/8/64/512 with
-//    tokens-per-second throughput per path.
+//    tokens-per-second throughput per path;
+//  - single-sequence latency (full mode only, informational): p50
+//    microseconds per call of the per-example engine vs the packed
+//    engine's one-sequence entry point at T = 12/24/48.
 // Correctness is checked while timing: the per-example engine must match
 // autograd exactly, and the packed float path must match the per-example
 // engine bit-for-bit (full logits, not just argmax). The three packed-sweep
@@ -18,6 +21,7 @@
 //  - int8 extraction F1 within 0.5 points of float on a held-out split
 //    (same trained weights via Save/Load).
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -196,6 +200,61 @@ double RunPackedSweep(const nn::TokenClassifier& model,
   return int8_tps / engine_tps;
 }
 
+/// Single-request latency at sequence length `t`: the per-example engine
+/// and the packed one-sequence entry point, alternating call by call on
+/// the same inputs (outputs CHECKed equal). Adds a table row and prints a
+/// JSON row with the p50 microseconds per call.
+void RunSingleSequenceLatency(const nn::TokenClassifier& model,
+                              const infer::Engine& engine,
+                              const infer::PackedEngine& packed, int64_t t,
+                              Rng& rng, eval::TextTable& table) {
+  const nn::TransformerConfig& config = model.encoder().config();
+  constexpr int kCalls = 4000;
+  std::vector<std::vector<int32_t>> inputs(64);
+  for (std::vector<int32_t>& ids : inputs) {
+    ids.resize(static_cast<size_t>(t));
+    for (int32_t& id : ids) id = rng.NextInt(0, config.vocab_size - 1);
+    GOALEX_CHECK_MSG(packed.PredictSequence(ids) == engine.PredictTokens(ids),
+                     "packed one-sequence labels diverge from per-example "
+                     "engine");
+  }
+  using Clock = std::chrono::steady_clock;
+  auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  std::vector<double> engine_us;
+  std::vector<double> packed_us;
+  engine_us.reserve(kCalls);
+  packed_us.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i) {
+    const std::vector<int32_t>& ids = inputs[static_cast<size_t>(i) % 64];
+    Clock::time_point start = Clock::now();
+    engine.PredictTokens(ids);
+    Clock::time_point mid = Clock::now();
+    packed.PredictSequence(ids);
+    Clock::time_point end = Clock::now();
+    engine_us.push_back(micros(mid - start));
+    packed_us.push_back(micros(end - mid));
+  }
+  auto p50 = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double engine_p50 = p50(engine_us);
+  const double packed_p50 = p50(packed_us);
+  char buffer[3][32];
+  std::snprintf(buffer[0], sizeof(buffer[0]), "%.1f", engine_p50);
+  std::snprintf(buffer[1], sizeof(buffer[1]), "%.1f", packed_p50);
+  std::snprintf(buffer[2], sizeof(buffer[2]), "%.2f", engine_p50 / packed_p50);
+  table.AddRow({std::to_string(t), buffer[0], buffer[1], buffer[2]});
+  std::printf(
+      "{\"bench\":\"micro_infer\",\"mode\":\"single_sequence\",\"t\":%lld,"
+      "\"calls\":%d,\"engine_p50_us\":%.2f,\"packed_p50_us\":%.2f,"
+      "\"speedup\":%.3f}\n",
+      static_cast<long long>(t), kCalls, engine_p50, packed_p50,
+      engine_p50 / packed_p50);
+}
+
 /// Trains a small float extractor, round-trips the weights through
 /// Save/Load into an int8-configured twin, and CHECKs that held-out
 /// extraction F1 moves by at most 0.5 points.
@@ -344,6 +403,21 @@ void Run(bool smoke) {
     if (batch_size == 64) int8_speedup_at_64 = int8_speedup;
   }
   std::printf("\n%s\n", packed_table.Render().c_str());
+
+  if (!smoke) {
+    // Part 3: single-request latency, the path Extract() and the detector
+    // take. Informational: no gate.
+    infer::PackedEngine packed(model, infer::PackedEngineOptions{});
+    eval::TextTable latency_table(
+        {"T", "Engine p50 us", "Packed 1-seq p50 us", "Speedup"});
+    Rng latency_rng(17);
+    for (int64_t t : {12, 24, 48}) {
+      RunSingleSequenceLatency(model, engine, packed, t, latency_rng,
+                               latency_table);
+    }
+    std::printf("\nsingle-sequence latency (one call at a time)\n%s\n",
+                latency_table.Render().c_str());
+  }
 
   if (smoke) {
     // CI gate: packed int8 regressing below 1.5x the per-example engine at

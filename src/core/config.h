@@ -77,21 +77,23 @@ struct ExtractorConfig {
   /// entirely with -DGOALEX_DISABLE_METRICS; outputs never depend on it.
   bool enable_metrics = true;
 
-  /// Production inference strategy. When true (default), Predict runs on
-  /// the graph-free infer::Engine: a plan compiled once at Train()/Load()
-  /// completion, executed against per-thread scratch arenas with borrowed
-  /// weights. When false, Predict walks the autograd evaluation path. Both
-  /// paths produce bit-identical outputs (enforced by infer_parity_test);
-  /// the flag exists as an escape hatch and for A/B benchmarking.
+  /// Production inference strategy. When true (default), Predict runs on a
+  /// graph-free engine built once at Train()/Load() completion (the packed
+  /// engine, or the per-example infer::Engine when packed_inference is
+  /// off), executed against per-thread scratch with borrowed weights. When
+  /// false, Predict walks the autograd evaluation path. All paths produce
+  /// bit-identical outputs (enforced by infer_parity_test); the flag exists
+  /// as an escape hatch and for A/B benchmarking.
   bool use_inference_engine = true;
 
-  /// Packed-batch inference (DESIGN.md §14). When true (default, requires
+  /// Packed inference (DESIGN.md §14). When true (default, requires
   /// use_inference_engine), batch extraction (`ExtractAll` and the serve
   /// handler) buckets clauses by token length and runs each bucket as one
-  /// padding-free packed forward with streaming-softmax attention, instead
-  /// of N per-example plan executions. Float outputs stay bit-identical to
-  /// the per-example engine (enforced by infer_packed_test); single-clause
-  /// Extract() calls keep using the per-example plan either way.
+  /// padding-free packed forward with streaming-softmax attention, and
+  /// single-clause Extract() calls run the same kernels as one-sequence
+  /// chunks. When false, every clause runs one per-example infer::Engine
+  /// plan. Float outputs are bit-identical either way (enforced by
+  /// infer_packed_test).
   bool packed_inference = true;
 
   /// Packed-token capacity of one packed-inference bucket. Bounds peak
@@ -105,7 +107,8 @@ struct ExtractorConfig {
   /// tensor/qlinear.h). Roughly another ~1.2x on packed throughput, but
   /// outputs are no longer bit-identical to float: extraction F1 stays
   /// within 0.5 points (gated by bench_micro_infer --smoke). Off by
-  /// default; no effect unless packed_inference is on.
+  /// default; no effect unless packed_inference is on, and batch-only:
+  /// single-clause Extract() calls stay float.
   bool quantize_int8 = false;
 
   /// Objective segmentation (Section 5.3 future work): at extraction time,

@@ -218,13 +218,14 @@ void DetailExtractor::RebuildEngine() {
   packed_engine_.reset();
   if (!config_.use_inference_engine) return;
   GOALEX_CHECK(model_ != nullptr);
-  engine_ = std::make_unique<infer::Engine>(
-      infer::Engine::ForTokenClassifier(*model_));
   if (config_.packed_inference) {
     infer::PackedEngineOptions options;
     options.chunk_tokens = config_.packed_chunk_tokens;
     options.quantize_int8 = config_.quantize_int8;
     packed_engine_ = std::make_unique<infer::PackedEngine>(*model_, options);
+  } else {
+    engine_ = std::make_unique<infer::Engine>(
+        infer::Engine::ForTokenClassifier(*model_));
   }
 }
 
@@ -251,10 +252,16 @@ void DetailExtractor::TokenizeStage(const std::string& text,
 void DetailExtractor::PredictStage(StagedClause& clause) const {
   obs::ScopedTimer predict_timer(
       InstrumentNow() ? metrics_.predict_seconds : nullptr);
-  // Engine and autograd paths are bit-identical (infer_parity_test); the
-  // engine is just graph-free and arena-backed.
-  clause.predictions = engine_ != nullptr ? engine_->PredictTokens(clause.ids)
-                                          : model_->Predict(clause.ids);
+  // All three paths are bit-identical (infer_parity_test,
+  // infer_packed_test); the engines are just graph-free and scratch-backed.
+  // A one-sequence packed call always runs float, even in int8 mode.
+  if (packed_engine_ != nullptr) {
+    clause.predictions = packed_engine_->PredictSequence(clause.ids);
+  } else if (engine_ != nullptr) {
+    clause.predictions = engine_->PredictTokens(clause.ids);
+  } else {
+    clause.predictions = model_->Predict(clause.ids);
+  }
 }
 
 void DetailExtractor::DecodeStage(StagedClause& clause) const {

@@ -89,9 +89,8 @@ class DetailExtractor {
   /// Extract() per objective: record i belongs to *objectives[i] and is
   /// byte-identical to the serial path. With packed inference enabled
   /// (ExtractorConfig::packed_inference) the predict stage runs as
-  /// padding-free packed chunks on infer::PackedEngine instead of one plan
-  /// execution per clause; otherwise it falls back to the staged
-  /// per-objective node chains.
+  /// padding-free packed chunks on infer::PackedEngine; otherwise it falls
+  /// back to the staged per-objective node chains.
   std::vector<data::DetailRecord> ExtractBatch(
       const std::vector<const data::Objective*>& objectives,
       runtime::ThreadPool* pool, runtime::Stats* stats = nullptr) const;
@@ -175,7 +174,8 @@ class DetailExtractor {
   /// nothing to predict (stages 2/3 must be skipped).
   void TokenizeStage(const std::string& text, StagedClause& clause) const;
 
-  /// Stage 2: run the model (engine or autograd) over clause.ids.
+  /// Stage 2: run the model over clause.ids — one-sequence packed call,
+  /// per-example plan, or autograd, whichever engine is configured.
   void PredictStage(StagedClause& clause) const;
 
   /// Stage 3 (first half): map subword predictions back to word labels.
@@ -187,16 +187,17 @@ class DetailExtractor {
 
   /// Runs the inference pipeline once (the three stages back to back).
   /// Thread-safe after Train()/Load(): the model, tokenizer, and catalog
-  /// are immutable by then, and each worker thread executes the compiled
-  /// plan in its own arena.
+  /// are immutable by then, and each worker thread runs the engine on its
+  /// own scratch.
   WordPrediction PredictPrepared(const std::string& text) const;
 
-  /// Compiles the inference plan for the current model (no-op when
-  /// config_.use_inference_engine is false) and, when packed inference is
-  /// configured, the packed-batch engine. Called when Train()/Load()
-  /// completes — the single point where the model's weights are final —
-  /// and again per training epoch while a packed engine exists (it derives
-  /// state from the weights at build time; see the packed_engine_ comment).
+  /// Builds the inference engine for the current model (no-op when
+  /// config_.use_inference_engine is false): the packed engine when packed
+  /// inference is configured, the per-example plan otherwise. Called when
+  /// Train()/Load() completes — the single point where the model's weights
+  /// are final — and again per training epoch while a packed engine exists
+  /// (it derives state from the weights at build time; see the
+  /// packed_engine_ comment).
   void RebuildEngine();
 
   /// Shared implementation of both ExtractAll overloads and ExtractBatch:
@@ -235,16 +236,16 @@ class DetailExtractor {
   text::WordTokenizer word_tokenizer_;
   std::unique_ptr<bpe::BpeModel> tokenizer_;
   std::unique_ptr<nn::TokenClassifier> model_;
-  /// Compiled graph-free inference plan over model_'s weights (borrowed by
-  /// view — must be destroyed before or rebuilt with model_). Null until
-  /// trained/loaded, or when use_inference_engine is off.
+  /// Compiled per-example plan over model_'s weights (borrowed by view —
+  /// must be destroyed before or rebuilt with model_). Built only when
+  /// use_inference_engine is on and packed_inference is off.
   std::unique_ptr<infer::Engine> engine_;
-  /// Packed-batch engine for ExtractAll/ExtractBatch (DESIGN.md §14). Null
-  /// until trained/loaded or when packed_inference/use_inference_engine is
-  /// off. Unlike engine_ (whose borrowed views track in-place Adam updates
-  /// automatically), this one *derives* state at construction — the padded
-  /// classifier head and any int8 codes — so Train() rebuilds it every
-  /// epoch while it exists.
+  /// Packed engine (DESIGN.md §14): chunks for ExtractAll/ExtractBatch,
+  /// one-sequence calls for Extract. Null until trained/loaded or when
+  /// packed_inference/use_inference_engine is off. Unlike engine_ (whose
+  /// borrowed views track in-place Adam updates automatically), this one
+  /// *derives* state at construction — the padded classifier head and any
+  /// int8 codes — so Train() rebuilds it every epoch while it exists.
   std::unique_ptr<infer::PackedEngine> packed_engine_;
   weaksup::WeakLabelStats train_stats_;
 };

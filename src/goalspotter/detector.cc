@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/string_util.h"
 #include "crf/features.h"
-#include "infer/engine.h"
+#include "infer/packed.h"
 #include "nn/adam.h"
 #include "nn/trainer.h"
 #include "nn/transformer.h"
@@ -124,7 +124,6 @@ void TransformerObjectiveDetector::Train(
   for (const LabeledBlock& block : blocks) corpus.push_back(block.text);
   tokenizer_ = std::make_unique<bpe::BpeModel>(bpe::BpeModel::Train(
       corpus, options_.bpe_merges, /*lowercase=*/true));
-  tokenizer_->Freeze();
 
   nn::TransformerConfig arch;
   arch.vocab_size = static_cast<int32_t>(tokenizer_->vocab().size());
@@ -149,6 +148,10 @@ void TransformerObjectiveDetector::Train(
     encoded.push_back(Encode(block.text));
     targets.push_back(block.is_objective ? 1 : 0);
   }
+  // The training corpus is fully encoded, so the per-word cache is warm;
+  // freeze the tokenizer so nothing on the inference path mutates shared
+  // state and concurrent PredictClass calls are safe.
+  tokenizer_->Freeze();
 
   const int32_t slot_count =
       nn::DataParallelTrainer::SlotCount(options_.batch_size);
@@ -190,8 +193,8 @@ void TransformerObjectiveDetector::Train(
 
   engine_.reset();
   if (options_.use_inference_engine) {
-    engine_ = std::make_unique<infer::Engine>(
-        infer::Engine::ForSequenceClassifier(*model_));
+    engine_ = std::make_unique<infer::PackedEngine>(
+        *model_, infer::PackedEngineOptions{});
   }
 }
 
@@ -199,7 +202,7 @@ int32_t TransformerObjectiveDetector::PredictClass(
     const std::string& text) const {
   GOALEX_CHECK_MSG(model_ != nullptr, "detector is not trained");
   std::vector<int32_t> ids = Encode(text);
-  return engine_ != nullptr ? engine_->PredictClass(ids)
+  return engine_ != nullptr ? engine_->PredictSequence(ids)[0]
                             : model_->Predict(ids);
 }
 

@@ -13,7 +13,7 @@ class BpeModel;
 }  // namespace goalex::bpe
 
 namespace goalex::infer {
-class Engine;
+class PackedEngine;
 }  // namespace goalex::infer
 
 namespace goalex::nn {
@@ -86,16 +86,17 @@ struct TransformerDetectorOptions {
   /// every value (nn/trainer.h); with batch_size = 1 there is one gradient
   /// slot, so extra threads add no parallelism.
   int32_t num_threads = 1;
-  /// Predict via the compiled graph-free engine (default) or the autograd
-  /// evaluation path. Bit-identical either way (goalspotter_test checks).
+  /// Predict via the packed engine's sequence head (default) or the
+  /// autograd evaluation path. Bit-identical either way (goalspotter_test
+  /// checks).
   bool use_inference_engine = true;
 };
 
 /// Transformer variant of the detection substrate: BPE-encodes a block and
 /// classifies it with nn::SequenceClassifier (mean-pooled encoder), the
-/// model family the paper uses for detection. Production scoring runs on
-/// the compiled infer::Engine — the sequence-classification counterpart of
-/// the extractor's token-classification plan.
+/// model family the paper uses for detection. Production scoring runs each
+/// block as a one-sequence call on infer::PackedEngine's sequence head —
+/// the same kernels the extractor's token head runs.
 class TransformerObjectiveDetector {
  public:
   explicit TransformerObjectiveDetector(
@@ -106,12 +107,12 @@ class TransformerObjectiveDetector {
   TransformerObjectiveDetector& operator=(const TransformerObjectiveDetector&) =
       delete;
 
-  /// Trains the tokenizer and classifier from labeled blocks, then compiles
-  /// the inference plan (when use_inference_engine is on).
+  /// Trains the tokenizer and classifier from labeled blocks, then builds
+  /// the packed engine (when use_inference_engine is on).
   void Train(const std::vector<LabeledBlock>& blocks);
 
   /// Predicted class of `text`: 1 = objective, 0 = noise. Thread-safe after
-  /// Train() (per-thread engine contexts; frozen tokenizer).
+  /// Train() (per-thread engine scratch; frozen tokenizer).
   int32_t PredictClass(const std::string& text) const;
 
   /// PredictClass(text) == 1.
@@ -126,7 +127,7 @@ class TransformerObjectiveDetector {
   TransformerDetectorOptions options_;
   std::unique_ptr<bpe::BpeModel> tokenizer_;
   std::unique_ptr<nn::SequenceClassifier> model_;
-  std::unique_ptr<infer::Engine> engine_;  ///< Null on the autograd path.
+  std::unique_ptr<infer::PackedEngine> engine_;  ///< Null on the tape path.
 };
 
 }  // namespace goalex::goalspotter

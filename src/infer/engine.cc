@@ -32,10 +32,6 @@ Engine Engine::ForTokenClassifier(const nn::TokenClassifier& model) {
   return Engine(CompileTokenClassifier(model));
 }
 
-Engine Engine::ForSequenceClassifier(const nn::SequenceClassifier& model) {
-  return Engine(CompileSequenceClassifier(model));
-}
-
 std::unique_ptr<ExecutionContext> Engine::NewContext() const {
   auto ctx = std::make_unique<ExecutionContext>(plan_);
   if (contexts_ != nullptr) contexts_->Increment();
@@ -64,7 +60,6 @@ tensor::TensorView Engine::Execute(const std::vector<int32_t>& ids,
   const int64_t t = std::min<int64_t>(static_cast<int64_t>(ids.size()),
                                       plan_.max_seq_len);
   for (const Plan::Step& step : plan_.steps) {
-    const int64_t rows = step.rows > 0 ? step.rows : t;
     float* out = ctx.slot(step.out);
     switch (step.op) {
       case Plan::Op::kEmbed:
@@ -76,37 +71,34 @@ tensor::TensorView Engine::Execute(const std::vector<int32_t>& ids,
       case Plan::Op::kLayerNorm:
         tensor::LayerNormForward(ctx.slot(step.in0),
                                  plan_.weights[step.w0].data(),
-                                 plan_.weights[step.w1].data(), out, rows,
+                                 plan_.weights[step.w1].data(), out, t,
                                  step.cols_in, 1e-5f, /*xhat=*/nullptr,
                                  /*inv_std=*/nullptr);
         break;
       case Plan::Op::kLinear:
         tensor::LinearForward(ctx.slot(step.in0),
                               plan_.weights[step.w0].data(),
-                              plan_.weights[step.w1].data(), out, rows,
+                              plan_.weights[step.w1].data(), out, t,
                               step.cols_in, step.cols_out);
         break;
       case Plan::Op::kAttention:
         tensor::AttentionForward(ctx.slot(step.in0), ctx.slot(step.in1),
-                                 ctx.slot(step.in2), out, rows, step.cols_in,
+                                 ctx.slot(step.in2), out, t, step.cols_in,
                                  plan_.heads, /*probs=*/nullptr,
                                  ctx.attention_scratch());
         break;
       case Plan::Op::kGelu:
-        tensor::GeluForward(ctx.slot(step.in0), out, rows * step.cols_in);
+        tensor::GeluForward(ctx.slot(step.in0), out, t * step.cols_in);
         break;
       case Plan::Op::kAdd:
         tensor::AddForward(ctx.slot(step.in0), ctx.slot(step.in1), out,
-                           rows * step.cols_in);
-        break;
-      case Plan::Op::kMeanRows:
-        tensor::MeanRowsForward(ctx.slot(step.in0), out, t, step.cols_in);
+                           t * step.cols_in);
         break;
     }
   }
   if (executions_ != nullptr) executions_->Increment();
-  return tensor::TensorView(ctx.slot(plan_.logits_offset),
-                            plan_.mean_pool ? 1 : t, plan_.logits_cols);
+  return tensor::TensorView(ctx.slot(plan_.logits_offset), t,
+                            plan_.logits_cols);
 }
 
 tensor::TensorView Engine::Logits(const std::vector<int32_t>& ids) const {
@@ -115,7 +107,6 @@ tensor::TensorView Engine::Logits(const std::vector<int32_t>& ids) const {
 
 std::vector<int32_t> Engine::PredictTokens(
     const std::vector<int32_t>& ids) const {
-  GOALEX_CHECK(!plan_.mean_pool);
   if (ids.empty()) return {};
   tensor::TensorView logits = Logits(ids);
   std::vector<int32_t> labels(static_cast<size_t>(logits.rows()));
@@ -124,13 +115,6 @@ std::vector<int32_t> Engine::PredictTokens(
         tensor::ArgmaxRow(logits.row(i), logits.cols());
   }
   return labels;
-}
-
-int32_t Engine::PredictClass(const std::vector<int32_t>& ids) const {
-  GOALEX_CHECK(plan_.mean_pool);
-  tensor::TensorView logits = Logits(ids);
-  GOALEX_CHECK_EQ(logits.rows(), 1);
-  return tensor::ArgmaxRow(logits.row(0), logits.cols());
 }
 
 }  // namespace goalex::infer

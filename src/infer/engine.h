@@ -34,12 +34,15 @@ class ExecutionContext {
   tensor::AttentionScratch attn_;
 };
 
-/// Graph-free inference engine: executes a compiled Plan against per-thread
-/// arenas. Outputs are bit-identical to the autograd evaluation path
-/// (nn::TokenClassifier::ForwardLogits / nn::SequenceClassifier) because
-/// both strategies run the same forward kernels (tensor/forward.h) in the
-/// same order — the engine only removes the tape: no Node allocations, no
-/// std::function backward closures, no per-op heap tensors.
+/// Graph-free per-example token-classifier engine: executes a compiled Plan
+/// against per-thread arenas. It is the `packed_inference = false` path of
+/// the extractor and the reference the packed engine is checked against;
+/// single sequences otherwise run on PackedEngine::ForwardSequence.
+/// Outputs are bit-identical to the autograd evaluation path
+/// (nn::TokenClassifier::ForwardLogits) because both strategies run the
+/// same forward kernels (tensor/forward.h) in the same order — the engine
+/// only removes the tape: no Node allocations, no std::function backward
+/// closures, no per-op heap tensors.
 ///
 /// Thread-safe after construction: the plan and borrowed weights are
 /// immutable; each calling thread lazily gets its own ExecutionContext.
@@ -53,11 +56,10 @@ class Engine {
   /// Compiles the forward pass of a trained model. Call at Train()/Load()
   /// completion; the model must outlive the engine.
   static Engine ForTokenClassifier(const nn::TokenClassifier& model);
-  static Engine ForSequenceClassifier(const nn::SequenceClassifier& model);
 
-  /// Runs the plan for `ids` in `ctx` and returns a view of the logits
-  /// ([T', logits_cols] for token plans, [1, logits_cols] for sequence
-  /// plans, where T' = min(ids.size(), max_seq_len)). The view aliases the
+  /// Runs the plan for `ids` in `ctx` and returns a view of the
+  /// [T', logits_cols] logits, where T' = min(ids.size(), max_seq_len).
+  /// The view aliases the
   /// context's arena and is valid until the next Execute on that context.
   /// Empty `ids` yields an empty view.
   tensor::TensorView Execute(const std::vector<int32_t>& ids,
@@ -66,10 +68,6 @@ class Engine {
   /// Greedy per-token labels (argmax per logits row) using this thread's
   /// cached context. Bit-identical to nn::TokenClassifier::Predict.
   std::vector<int32_t> PredictTokens(const std::vector<int32_t>& ids) const;
-
-  /// Argmax class of a sequence plan using this thread's cached context.
-  /// Bit-identical to nn::SequenceClassifier::Predict.
-  int32_t PredictClass(const std::vector<int32_t>& ids) const;
 
   /// Logits via this thread's cached context (see Execute for lifetime).
   tensor::TensorView Logits(const std::vector<int32_t>& ids) const;

@@ -17,6 +17,16 @@ constexpr float kLayerNormEps = 1e-5f;
 
 int64_t RoundUp8(int64_t n) { return (n + 7) / 8 * 8; }
 
+/// Argmax labels of `rows` logits rows of stride `cols`, scanning only the
+/// first `n` real columns (the padded tail is zeros).
+void ArgmaxLabels(const float* logits, int64_t rows, int64_t cols, int32_t n,
+                  std::vector<int32_t>& labels) {
+  labels.resize(static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) {
+    labels[static_cast<size_t>(i)] = tensor::ArgmaxRow(logits + i * cols, n);
+  }
+}
+
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -70,12 +80,23 @@ std::vector<PackedChunk> PackByLength(
 
 PackedEngine::PackedEngine(const nn::TokenClassifier& model,
                            PackedEngineOptions options)
-    : config_(model.encoder().config()),
+    : PackedEngine(model.encoder(), model.head(), model.num_labels(),
+                   /*pooled=*/false, options) {}
+
+PackedEngine::PackedEngine(const nn::SequenceClassifier& model,
+                           PackedEngineOptions options)
+    : PackedEngine(model.encoder(), model.head(), model.num_classes(),
+                   /*pooled=*/true, options) {}
+
+PackedEngine::PackedEngine(const nn::TransformerEncoder& encoder,
+                           const nn::Linear& head, int32_t num_labels,
+                           bool pooled, PackedEngineOptions options)
+    : config_(encoder.config()),
       options_(options),
-      num_labels_(model.num_labels()) {
+      pooled_(pooled),
+      num_labels_(num_labels) {
   GOALEX_CHECK_GT(options_.chunk_tokens, 0);
   GOALEX_CHECK_GT(num_labels_, 0);
-  const nn::TransformerEncoder& encoder = model.encoder();
   auto pin = [this](const tensor::Var& var) -> const float* {
     pins_.push_back(var->value());
     return pins_.back().data();
@@ -114,8 +135,8 @@ PackedEngine::PackedEngine(const nn::TokenClassifier& model,
   // logit layout equal to float's.
   const int64_t d = config_.d_model;
   head_cols_ = RoundUp8(num_labels_);
-  const float* hw = model.head().weight()->value().data();
-  const float* hb = model.head().bias()->value().data();
+  const float* hw = head.weight()->value().data();
+  const float* hb = head.bias()->value().data();
   head_weight_.assign(d * head_cols_, 0.0f);
   for (int64_t l = 0; l < d; ++l) {
     for (int64_t j = 0; j < num_labels_; ++j) {
@@ -153,72 +174,63 @@ PackedEngine::PackedEngine(const nn::TokenClassifier& model,
                                         kFillBounds);
     occupancy_ = registry.GetHistogram("infer.packed.bucket_occupancy",
                                        obs::DefaultSizeBounds());
+    single_sequences_ = registry.GetCounter("infer.packed.single_sequences");
   }
 }
 
-PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
-    const PackedChunk& chunk) const {
-  ChunkLogits result;
-  result.cols = head_cols_;
-  const int64_t total = chunk.tokens();
-  const int64_t nseq = chunk.size();
-  if (total == 0) return result;
-  GOALEX_CHECK_EQ(static_cast<int64_t>(chunk.offsets.size()), nseq + 1);
-  const double start = NowSeconds();
-
+PackedEngine::Layout PackedEngine::MakeLayout(int64_t total, int64_t nseq,
+                                              int64_t max_t) const {
   const int64_t d = config_.d_model;
-  const int64_t ffn = config_.ffn_dim;
   const int64_t dh = d / config_.heads;
-  int64_t max_t = 0;
-  for (int64_t s = 0; s < nseq; ++s) {
-    const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-    GOALEX_CHECK_GT(t, 0);
-    GOALEX_CHECK_LE(t, static_cast<int64_t>(config_.max_seq_len));
-    max_t = std::max(max_t, t);
-  }
-
-  // One storage block for all packed activations + attention scratch,
-  // drawn through the thread's scratch allocator: inside an exec node
-  // marked uses_scratch this is a pooled lease counted against
-  // exec.scratch.peak_bytes, elsewhere a plain zeroed allocation.
+  Layout layout;
   size_t off = 0;
   auto take = [&off](int64_t n) {
     size_t r = off;
     off += static_cast<size_t>(n);
     return r;
   };
-  const size_t o_x = take(total * d);
-  const size_t o_h = take(total * d);
-  const size_t o_q = take(total * d);
-  const size_t o_k = take(total * d);
-  const size_t o_v = take(total * d);
-  const size_t o_attn = take(total * d);
-  const size_t o_x1 = take(total * d);
-  const size_t o_f1 = take(total * ffn);
-  const size_t o_logits = take(total * head_cols_);
-  const size_t o_kat = take(dh * max_t);
-  const size_t o_scores = take(tensor::kPackedAttentionRowBlock * max_t);
-  result.storage = tensor::AllocateTensorStorage(off);
-  float* base = result.storage->data();
-  float* x = base + o_x;
-  float* h = base + o_h;
-  float* q = base + o_q;
-  float* k = base + o_k;
-  float* v = base + o_v;
-  float* attn = base + o_attn;
-  float* x1 = base + o_x1;
-  float* f1 = base + o_f1;
-  float* logits = base + o_logits;
-  float* kat = base + o_kat;
-  float* scores = base + o_scores;
+  layout.x = take(total * d);
+  layout.h = take(total * d);
+  layout.q = take(total * d);
+  layout.k = take(total * d);
+  layout.v = take(total * d);
+  layout.attn = take(total * d);
+  layout.x1 = take(total * d);
+  layout.f1 = take(total * config_.ffn_dim);
+  layout.pooled = take(pooled_ ? nseq * d : 0);
+  layout.logits = take((pooled_ ? nseq : total) * head_cols_);
+  layout.kat = take(dh * max_t);
+  layout.scores = take(tensor::kPackedAttentionRowBlock * max_t);
+  layout.floats = off;
+  return layout;
+}
+
+const float* PackedEngine::Forward(const int32_t* ids,
+                                   const int64_t* offsets, int64_t nseq,
+                                   int64_t total, bool int8,
+                                   const Layout& layout,
+                                   float* scratch) const {
+  const int64_t d = config_.d_model;
+  const int64_t ffn = config_.ffn_dim;
+  float* x = scratch + layout.x;
+  float* h = scratch + layout.h;
+  float* q = scratch + layout.q;
+  float* k = scratch + layout.k;
+  float* v = scratch + layout.v;
+  float* attn = scratch + layout.attn;
+  float* x1 = scratch + layout.x1;
+  float* f1 = scratch + layout.f1;
+  float* logits = scratch + layout.logits;
+  float* kat = scratch + layout.kat;
+  float* scores = scratch + layout.scores;
 
   // Embeddings: the position ramp restarts at each sequence boundary.
   for (int64_t s = 0; s < nseq; ++s) {
-    const int64_t seq_base = chunk.offsets[s];
-    const int64_t t = chunk.offsets[s + 1] - seq_base;
+    const int64_t seq_base = offsets[s];
+    const int64_t t = offsets[s + 1] - seq_base;
     tensor::EmbedSumForward(token_embedding_, config_.vocab_size,
-                            position_embedding_, chunk.ids.data() + seq_base,
-                            t, d, x + seq_base * d);
+                            position_embedding_, ids + seq_base, t, d,
+                            x + seq_base * d);
   }
 
   // Pre-LN encoder layers over the packed token axis. Only attention sees
@@ -228,11 +240,11 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
     const LayerWeights& lw = layers_[li];
     tensor::LayerNormPackedForward(x, lw.ln1_gamma, lw.ln1_beta, h, total, d,
                                    kLayerNormEps);
-    if (options_.quantize_int8) {
+    if (int8) {
       const QuantizedLayer& ql = quantized_[li];
       tensor::QuantizedQkvForward(h, ql.q, ql.k, ql.v, q, k, v, total);
-      tensor::AttentionPackedForward(q, k, v, attn, chunk.offsets.data(),
-                                     nseq, d, config_.heads, kat, scores);
+      tensor::AttentionPackedForward(q, k, v, attn, offsets, nseq, d,
+                                     config_.heads, kat, scores);
       tensor::QuantizedLinearForward(attn, ql.o, x1, total,
                                      tensor::LinearEpilogue::kResidual, x);
       tensor::LayerNormPackedForward(x1, lw.ln2_gamma, lw.ln2_beta, h, total,
@@ -245,8 +257,8 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
       tensor::LinearForward(h, lw.qw, lw.qb, q, total, d, d);
       tensor::LinearForward(h, lw.kw, lw.kb, k, total, d, d);
       tensor::LinearForward(h, lw.vw, lw.vb, v, total, d, d);
-      tensor::AttentionPackedForward(q, k, v, attn, chunk.offsets.data(),
-                                     nseq, d, config_.heads, kat, scores);
+      tensor::AttentionPackedForward(q, k, v, attn, offsets, nseq, d,
+                                     config_.heads, kat, scores);
       tensor::LinearResidualForward(attn, lw.ow, lw.ob, /*residual=*/x, x1,
                                     total, d, d);
       tensor::LayerNormPackedForward(x1, lw.ln2_gamma, lw.ln2_beta, h, total,
@@ -258,9 +270,51 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   }
   tensor::LayerNormPackedForward(x, final_gamma_, final_beta_, h, total, d,
                                  kLayerNormEps);
-  tensor::LinearForward(h, head_weight_.data(), head_bias_.data(), logits,
-                        total, d, head_cols_);
-  result.data = logits;
+  if (pooled_) {
+    // Sequence head: mean over each sequence's CSR row range (the tape's
+    // MeanRows), then one head row per sequence.
+    float* pooled = scratch + layout.pooled;
+    for (int64_t s = 0; s < nseq; ++s) {
+      tensor::MeanRowsForward(h + offsets[s] * d, pooled + s * d,
+                              offsets[s + 1] - offsets[s], d);
+    }
+    tensor::LinearForward(pooled, head_weight_.data(), head_bias_.data(),
+                          logits, nseq, d, head_cols_);
+  } else {
+    tensor::LinearForward(h, head_weight_.data(), head_bias_.data(), logits,
+                          total, d, head_cols_);
+  }
+  return logits;
+}
+
+PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
+    const PackedChunk& chunk) const {
+  ChunkLogits result;
+  result.cols = head_cols_;
+  const int64_t total = chunk.tokens();
+  const int64_t nseq = chunk.size();
+  if (total == 0) return result;
+  GOALEX_CHECK_EQ(static_cast<int64_t>(chunk.offsets.size()), nseq + 1);
+  const double start = NowSeconds();
+
+  int64_t max_t = 0;
+  for (int64_t s = 0; s < nseq; ++s) {
+    const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
+    GOALEX_CHECK_GT(t, 0);
+    GOALEX_CHECK_LE(t, static_cast<int64_t>(config_.max_seq_len));
+    max_t = std::max(max_t, t);
+  }
+
+  // One storage block for all packed activations + attention scratch,
+  // drawn through the thread's scratch allocator: inside an exec node
+  // marked uses_scratch this is a pooled lease counted against
+  // exec.scratch.peak_bytes, elsewhere a plain zeroed allocation.
+  const Layout layout = MakeLayout(total, nseq, max_t);
+  result.storage = tensor::AllocateTensorStorage(layout.floats);
+  result.data = Forward(chunk.ids.data(), chunk.offsets.data(), nseq, total,
+                        options_.quantize_int8, layout,
+                        result.storage->data());
+  result.rows = pooled_ ? nseq : total;
 
   if (chunks_ != nullptr) {
     chunks_->Increment();
@@ -276,19 +330,41 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   return result;
 }
 
+tensor::ConstTensorView PackedEngine::ForwardSequence(
+    const std::vector<int32_t>& ids) const {
+  const int64_t t = std::min<int64_t>(static_cast<int64_t>(ids.size()),
+                                      config_.max_seq_len);
+  if (t == 0) return tensor::ConstTensorView(nullptr, 0, head_cols_);
+  // Scratch shared by every engine on this thread: it only grows, so after
+  // the first call at the longest length a call allocates nothing.
+  thread_local std::vector<float> scratch;
+  const Layout layout = MakeLayout(t, /*nseq=*/1, /*max_t=*/t);
+  if (scratch.size() < layout.floats) scratch.resize(layout.floats);
+  const int64_t offsets[2] = {0, t};
+  const float* logits = Forward(ids.data(), offsets, /*nseq=*/1, t,
+                                /*int8=*/false, layout, scratch.data());
+  if (single_sequences_ != nullptr) single_sequences_->Increment();
+  return tensor::ConstTensorView(logits, pooled_ ? 1 : t, head_cols_);
+}
+
+std::vector<int32_t> PackedEngine::PredictSequence(
+    const std::vector<int32_t>& ids) const {
+  const tensor::ConstTensorView logits = ForwardSequence(ids);
+  std::vector<int32_t> labels;
+  ArgmaxLabels(logits.data(), logits.rows(), logits.cols(), num_labels_,
+               labels);
+  return labels;
+}
+
 void PackedEngine::PredictChunk(const PackedChunk& chunk,
                                 std::vector<std::vector<int32_t>>& out) const {
   const ChunkLogits logits = ForwardChunk(chunk);
   for (int64_t s = 0; s < chunk.size(); ++s) {
-    const int64_t seq_base = chunk.offsets[s];
-    const int64_t t = chunk.offsets[s + 1] - seq_base;
-    std::vector<int32_t>& labels = out[chunk.sequence[s]];
-    labels.resize(t);
-    for (int64_t i = 0; i < t; ++i) {
-      // Scan only the real columns; the padded tail is zeros.
-      labels[i] = tensor::ArgmaxRow(
-          logits.data + (seq_base + i) * logits.cols, num_labels_);
-    }
+    // Logits rows of member s: its token range, or its one pooled row.
+    const int64_t first = pooled_ ? s : chunk.offsets[s];
+    const int64_t rows = pooled_ ? 1 : chunk.offsets[s + 1] - first;
+    ArgmaxLabels(logits.data + first * logits.cols, rows, logits.cols,
+                 num_labels_, out[chunk.sequence[s]]);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "tensor/qlinear.h"
 #include "tensor/tensor.h"
+#include "tensor/view.h"
 
 namespace goalex::infer {
 
@@ -17,8 +18,11 @@ namespace goalex::infer {
 /// length into capacity-bounded chunks and laid out token-major with a
 /// per-sequence offsets table; every layer then runs as one padding-free
 /// GEMM over the packed token axis, with attention streaming per-sequence
-/// tiles (tensor/packed.h). Float outputs are bit-identical per sequence to
-/// Engine::Execute; the optional int8 mode trades exactness for throughput.
+/// tiles (tensor/packed.h). A single sequence runs the same kernels as a
+/// one-member chunk (PackedEngine::ForwardSequence). Float outputs are
+/// bit-identical per sequence to Engine::Execute and to the autograd
+/// evaluation path; the optional int8 mode trades exactness for batch
+/// throughput.
 
 /// One packed batch: token ids for all member sequences back to back.
 /// Sequence s (0 ≤ s < size()) owns ids[offsets[s]..offsets[s+1]) and came
@@ -55,47 +59,92 @@ struct PackedEngineOptions {
   bool quantize_int8 = false;
 };
 
-/// Compiled packed-batch executor over a trained TokenClassifier. Like
-/// infer::Engine the float weights are borrowed (pinned via shared tensor
-/// storage), but the engine also *derives* state at construction — the
-/// zero-padded classifier head and, in int8 mode, the quantized codes — so
-/// a PackedEngine must be rebuilt after any weight update (the extractor
+/// Compiled packed executor over a trained model, with one of two heads:
+///   - token head (nn::TokenClassifier): one logits row per token;
+///   - sequence head (nn::SequenceClassifier): the final hidden states are
+///     mean-pooled over each sequence's CSR row range, then one logits row
+///     per sequence.
+/// Like infer::Engine the float weights are borrowed (pinned via shared
+/// tensor storage), but the engine also *derives* state at construction —
+/// the zero-padded classifier head and, in int8 mode, the quantized codes —
+/// so a PackedEngine must be rebuilt after any weight update (the extractor
 /// rebuilds per training epoch). Stateless after construction: all methods
-/// are const and safe to call concurrently, each call owns its scratch.
+/// are const and safe to call concurrently; chunk calls own their scratch
+/// and single-sequence calls use per-thread scratch.
 class PackedEngine {
  public:
   PackedEngine(const nn::TokenClassifier& model, PackedEngineOptions options);
+  PackedEngine(const nn::SequenceClassifier& model,
+               PackedEngineOptions options);
 
-  /// Per-token argmax labels for every member of `chunk`, written to
+  /// Argmax labels of every member of `chunk` — one per token (token head)
+  /// or one per sequence (sequence head) — written to
   /// out[chunk.sequence[s]] (slots for other chunks are untouched, so
   /// disjoint chunks can predict into one vector concurrently).
   void PredictChunk(const PackedChunk& chunk,
                     std::vector<std::vector<int32_t>>& out) const;
 
   /// Packs `sequences` (PackByLength) and predicts every chunk. Entry i of
-  /// the result holds per-token labels for sequences[i]; empty sequences
-  /// yield empty label vectors.
+  /// the result holds the labels of sequences[i]; empty sequences yield
+  /// empty label vectors.
   std::vector<std::vector<int32_t>> PredictBatch(
       const std::vector<const std::vector<int32_t>*>& sequences) const;
 
-  /// Raw packed logits for one chunk: [chunk.tokens(), logit_cols()]
-  /// row-major, alive while the returned storage is held. Columns past
-  /// num_labels() are zero padding (the head is padded to a SIMD-friendly
-  /// width); argmax must scan only the first num_labels() columns.
+  /// Raw packed logits for one chunk: [rows, logit_cols()] row-major, where
+  /// rows is chunk.tokens() (token head) or chunk.size() (sequence head),
+  /// alive while the returned storage is held. Columns past num_labels()
+  /// are zero padding (the head is padded to a SIMD-friendly width);
+  /// argmax must scan only the first num_labels() columns.
   struct ChunkLogits {
     std::shared_ptr<std::vector<float>> storage;
     const float* data = nullptr;
+    int64_t rows = 0;
     int64_t cols = 0;
   };
   ChunkLogits ForwardChunk(const PackedChunk& chunk) const;
 
+  /// One sequence as a one-member chunk (offsets {0, t}, t = min(ids.size(),
+  /// max_seq_len)) without PackByLength's copy, on this thread's reusable
+  /// scratch. Returns [t, logit_cols()] logits (token head) or
+  /// [1, logit_cols()] (sequence head), bit-identical to the matching rows
+  /// of ForwardChunk. The view is valid until this thread's next
+  /// ForwardSequence/PredictSequence call on any engine. Always runs the
+  /// float kernels: int8 is a batch-throughput trade, and single calls
+  /// (Extract, detection) stay exact. Empty `ids` yields an empty view.
+  tensor::ConstTensorView ForwardSequence(
+      const std::vector<int32_t>& ids) const;
+
+  /// Argmax labels of ForwardSequence(ids): t per-token labels (token head)
+  /// or the one class (sequence head).
+  std::vector<int32_t> PredictSequence(const std::vector<int32_t>& ids) const;
+
   int64_t chunk_tokens() const { return options_.chunk_tokens; }
   bool quantized() const { return options_.quantize_int8; }
+  /// True for the sequence head (mean-pooled, one logits row per sequence).
+  bool pooled() const { return pooled_; }
   int32_t num_labels() const { return num_labels_; }
   int64_t logit_cols() const { return head_cols_; }
   int64_t max_seq_len() const { return config_.max_seq_len; }
 
  private:
+  /// Float offsets of every activation in one forward's scratch block.
+  struct Layout {
+    size_t x, h, q, k, v, attn, x1, f1, pooled, logits, kat, scores;
+    size_t floats;  ///< Total block size.
+  };
+
+  PackedEngine(const nn::TransformerEncoder& encoder, const nn::Linear& head,
+               int32_t num_labels, bool pooled, PackedEngineOptions options);
+
+  Layout MakeLayout(int64_t total, int64_t nseq, int64_t max_t) const;
+
+  /// Runs the network over `nseq` sequences packed in ids[0..total) with
+  /// CSR `offsets`, in `scratch` laid out by `layout`. Returns the logits
+  /// (layout.logits).
+  const float* Forward(const int32_t* ids, const int64_t* offsets,
+                       int64_t nseq, int64_t total, bool int8,
+                       const Layout& layout, float* scratch) const;
+
   struct LayerWeights {
     const float* ln1_gamma = nullptr;
     const float* ln1_beta = nullptr;
@@ -120,6 +169,7 @@ class PackedEngine {
 
   nn::TransformerConfig config_;
   PackedEngineOptions options_;
+  bool pooled_ = false;
   int32_t num_labels_ = 0;
   int64_t head_cols_ = 0;
 
@@ -142,6 +192,7 @@ class PackedEngine {
   obs::Gauge* tokens_per_sec_ = nullptr;
   obs::Histogram* batch_fill_ = nullptr;
   obs::Histogram* occupancy_ = nullptr;
+  obs::Counter* single_sequences_ = nullptr;
 };
 
 }  // namespace goalex::infer

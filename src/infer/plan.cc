@@ -17,11 +17,10 @@ class PlanBuilder {
     plan_.vocab_size = config.vocab_size;
   }
 
-  /// Reserves a [max_seq_len, cols] slot (or [rows, cols] when fixed).
-  int64_t Slot(int64_t cols, int64_t rows = 0) {
+  /// Reserves a [max_seq_len, cols] slot.
+  int64_t Slot(int64_t cols) {
     int64_t offset = static_cast<int64_t>(plan_.arena_floats);
-    int64_t r = rows > 0 ? rows : plan_.max_seq_len;
-    plan_.arena_floats += static_cast<size_t>(r * cols);
+    plan_.arena_floats += static_cast<size_t>(plan_.max_seq_len * cols);
     return offset;
   }
 
@@ -43,27 +42,24 @@ class PlanBuilder {
   }
 
   void LayerNorm(int64_t in, int64_t out, const tensor::Var& gamma,
-                 const tensor::Var& beta, int64_t rows = 0) {
+                 const tensor::Var& beta) {
     Plan::Step step;
     step.op = Plan::Op::kLayerNorm;
     step.in0 = in;
     step.out = out;
     step.cols_in = step.cols_out = plan_.d_model;
-    step.rows = rows;
     step.w0 = Weight(gamma);
     step.w1 = Weight(beta);
     plan_.steps.push_back(step);
   }
 
-  void Linear(int64_t in, int64_t out, const nn::Linear& layer,
-              int64_t rows = 0) {
+  void Linear(int64_t in, int64_t out, const nn::Linear& layer) {
     Plan::Step step;
     step.op = Plan::Op::kLinear;
     step.in0 = in;
     step.out = out;
     step.cols_in = layer.in_features();
     step.cols_out = layer.out_features();
-    step.rows = rows;
     step.w0 = Weight(layer.weight());
     step.w1 = Weight(layer.bias());
     plan_.steps.push_back(step);
@@ -94,15 +90,6 @@ class PlanBuilder {
     step.op = Plan::Op::kAdd;
     step.in0 = a;
     step.in1 = b;
-    step.out = out;
-    step.cols_in = step.cols_out = plan_.d_model;
-    plan_.steps.push_back(step);
-  }
-
-  void MeanRows(int64_t in, int64_t out) {
-    Plan::Step step;
-    step.op = Plan::Op::kMeanRows;
-    step.in0 = in;
     step.out = out;
     step.cols_in = step.cols_out = plan_.d_model;
     plan_.steps.push_back(step);
@@ -167,23 +154,6 @@ Plan CompileTokenClassifier(const nn::TokenClassifier& model) {
   Plan plan = builder.Take();
   plan.logits_offset = s_logits;
   plan.logits_cols = model.num_labels();
-  plan.mean_pool = false;
-  return plan;
-}
-
-Plan CompileSequenceClassifier(const nn::SequenceClassifier& model) {
-  PlanBuilder builder(model.encoder().config());
-  int64_t s_states = BuildEncoder(model.encoder(), builder);
-  int64_t s_pooled = builder.Slot(model.encoder().config().d_model,
-                                  /*rows=*/1);
-  int64_t s_logits = builder.Slot(model.num_classes(), /*rows=*/1);
-  builder.MeanRows(s_states, s_pooled);
-  builder.Linear(s_pooled, s_logits, model.head(), /*rows=*/1);
-
-  Plan plan = builder.Take();
-  plan.logits_offset = s_logits;
-  plan.logits_cols = model.num_classes();
-  plan.mean_pool = true;
   return plan;
 }
 

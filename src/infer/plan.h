@@ -8,7 +8,6 @@
 
 namespace goalex::nn {
 class TokenClassifier;
-class SequenceClassifier;
 }  // namespace goalex::nn
 
 namespace goalex::infer {
@@ -34,7 +33,6 @@ struct Plan {
     kAttention,  ///< out = MHA(in0, in1, in2)
     kGelu,       ///< out = gelu(in0), elementwise
     kAdd,        ///< out = in0 + in1, elementwise (residual)
-    kMeanRows,   ///< out[1,n] = mean over the T rows of in0
   };
 
   struct Step {
@@ -45,8 +43,6 @@ struct Plan {
     int64_t out = -1;
     int64_t cols_in = 0;   ///< Operand columns (d_model / ffn_dim / ...).
     int64_t cols_out = 0;  ///< Result columns.
-    /// Fixed row count for steps past mean pooling; 0 = the live T.
-    int64_t rows = 0;
     int32_t w0 = -1;  ///< Indices into Plan::weights.
     int32_t w1 = -1;
   };
@@ -64,20 +60,14 @@ struct Plan {
   /// Total scratch floats one worker needs (a function of max_seq_len).
   size_t arena_floats = 0;
 
-  /// Where the final logits land.
+  /// Where the final [T, logits_cols] logits land.
   int64_t logits_offset = 0;
   int64_t logits_cols = 0;
-  /// True for sequence classification (one pooled logits row); false for
-  /// token classification (T logits rows).
-  bool mean_pool = false;
 };
 
 /// Compiles the forward pass of a trained token classifier. Call after
 /// Train()/Load() completes; the returned plan borrows the live weights.
 Plan CompileTokenClassifier(const nn::TokenClassifier& model);
-
-/// Compiles the forward pass of a trained sequence classifier.
-Plan CompileSequenceClassifier(const nn::SequenceClassifier& model);
 
 }  // namespace goalex::infer
 

@@ -138,8 +138,8 @@ class TokenClassifier : public Module {
                           const std::vector<int32_t>& targets) const;
 
   /// Greedy per-token prediction (argmax over labels) via the autograd
-  /// evaluation path. Production inference uses infer::Engine instead,
-  /// which is bit-identical and graph-free.
+  /// evaluation path. Production inference uses the graph-free engines in
+  /// src/infer instead, which are bit-identical.
   std::vector<int32_t> Predict(const std::vector<int32_t>& ids) const;
 
   void CollectParameters(const std::string& prefix,

@@ -97,21 +97,28 @@ double HistogramSnapshot::Quantile(double q) const {
   if (count == 0 || bounds.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   double rank = q * static_cast<double>(count);
+  double estimate = bounds.back();
   uint64_t cumulative = 0;
   for (size_t i = 0; i < buckets.size(); ++i) {
     cumulative += buckets[i];
     if (static_cast<double>(cumulative) < rank) continue;
-    if (i >= bounds.size()) return bounds.back();  // +inf bucket: clamp.
+    if (i >= bounds.size()) break;  // +inf bucket: largest finite bound.
     double upper = bounds[i];
     double lower = i == 0 ? 0.0 : bounds[i - 1];
-    if (buckets[i] == 0) return upper;
+    if (buckets[i] == 0) {
+      estimate = upper;
+      break;
+    }
     // Linear interpolation within the bucket.
     double into =
         (rank - static_cast<double>(cumulative - buckets[i])) /
         static_cast<double>(buckets[i]);
-    return lower + (upper - lower) * into;
+    estimate = lower + (upper - lower) * into;
+    break;
   }
-  return bounds.back();
+  // Interpolation spreads a bucket's observations over its whole width;
+  // the observed extremes are tighter, so no quantile leaves [min, max].
+  return std::clamp(estimate, min, max);
 }
 
 const std::vector<double>& DefaultLatencyBounds() {

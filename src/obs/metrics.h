@@ -75,8 +75,9 @@ struct HistogramSnapshot {
 
   double Mean() const { return count == 0 ? 0.0 : sum / count; }
 
-  /// Bucket-interpolated quantile estimate (q in [0, 1]). The +inf bucket
-  /// reports the largest finite bound (the estimate is clamped).
+  /// Bucket-interpolated quantile estimate (q in [0, 1]), clamped to the
+  /// observed [min, max]. The +inf bucket reports the largest finite bound
+  /// before that clamp.
   double Quantile(double q) const;
 };
 

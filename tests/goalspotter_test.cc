@@ -56,8 +56,8 @@ TEST(DetectorTest, SeparatesObjectivesFromNoise) {
 
 TEST(TransformerDetectorTest, EngineAndAutogradPredictionsIdentical) {
   // Two detectors with identical training (same seeds, same data), one
-  // predicting via the compiled inference engine and one via the autograd
-  // evaluation path: every prediction must match exactly.
+  // predicting via the packed engine's sequence head and one via the
+  // autograd evaluation path: every prediction must match exactly.
   std::vector<LabeledBlock> blocks = DetectorTrainingSet(40, 40, 11);
   TransformerDetectorOptions options;
   options.epochs = 2;

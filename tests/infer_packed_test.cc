@@ -1,5 +1,5 @@
 // Tests of packed-batch inference (src/infer/packed.h, DESIGN.md §14).
-// Three layers of guarantees are pinned here:
+// Four layers of guarantees are pinned here:
 //  - PackByLength is a deterministic, lossless partition: every non-empty
 //    sequence lands in exactly one chunk, capacity and truncation bounds
 //    hold, and equal inputs always produce equal chunks.
@@ -7,6 +7,10 @@
 //    per-example engine — full logits, not just argmax — across sequence
 //    lengths, including the degenerate shapes (batch of one, single-token
 //    sequences, all-equal lengths, max_seq_len, truncation).
+//  - The one-sequence entry point (ForwardSequence) is bit-identical to a
+//    one-member ForwardChunk and to the autograd tape, for both heads
+//    (per-token and mean-pooled sequence), every length up to past
+//    max_seq_len, and under concurrent callers sharing one engine.
 //  - The int8 path is tolerance-pinned: logits stay close to float and the
 //    argmax labels agree on almost every token (the end-to-end F1 budget
 //    is gated separately by bench_micro_infer --smoke).
@@ -17,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +33,7 @@
 #include "data/generator.h"
 #include "infer/engine.h"
 #include "nn/transformer.h"
+#include "tensor/ops.h"
 #include "tensor/view.h"
 
 namespace goalex {
@@ -298,6 +305,181 @@ TEST(PackedEngineTest, DegenerateBatchShapes) {
 }
 
 // ---------------------------------------------------------------------------
+// One-sequence entry point: bit-identical to a one-member chunk and to the
+// tape, for both heads.
+
+/// Asserts ForwardSequence(ids) equals ForwardChunk over the one-member
+/// chunk PackByLength makes of `ids` in every logit column (padding
+/// included), and the tape's logits in the real columns.
+template <typename Model>
+void ExpectSequenceBitIdentical(const PackedEngine& packed,
+                                const Model& model,
+                                const std::vector<int32_t>& ids) {
+  const tensor::ConstTensorView got = packed.ForwardSequence(ids);
+  std::vector<PackedChunk> chunks =
+      PackByLength({&ids}, packed.max_seq_len(), packed.chunk_tokens());
+  ASSERT_EQ(chunks.size(), 1u);
+  PackedEngine::ChunkLogits chunk = packed.ForwardChunk(chunks[0]);
+  tensor::Var tape = model.ForwardLogits(ids);
+  ASSERT_EQ(got.rows(), chunk.rows) << "T=" << ids.size();
+  ASSERT_EQ(got.rows(), tape->value().dim(0)) << "T=" << ids.size();
+  ASSERT_EQ(got.cols(), chunk.cols);
+  for (int64_t r = 0; r < got.rows(); ++r) {
+    for (int64_t j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(got.row(r)[j], chunk.data[r * chunk.cols + j])
+          << "T=" << ids.size() << " row " << r << " col " << j;
+    }
+    for (int64_t j = 0; j < packed.num_labels(); ++j) {
+      ASSERT_EQ(got.row(r)[j], tape->value().at(r, j))
+          << "T=" << ids.size() << " row " << r << " col " << j;
+    }
+  }
+  EXPECT_EQ(packed.PredictSequence(ids), tensor::ArgmaxRows(tape));
+}
+
+TEST(PackedSequenceTest, TokenHeadMatchesChunkAndTapeAtEveryLength) {
+  nn::TransformerConfig config = SmallArch();
+  Rng init(5);
+  nn::TokenClassifier model(config, /*num_labels=*/11, init);
+  PackedEngine packed(model, PackedEngineOptions{});
+  ASSERT_FALSE(packed.pooled());
+  Rng data_rng(6);
+  // 1..max_seq_len+3: the last three exercise truncation.
+  for (size_t len = 1; len <= static_cast<size_t>(config.max_seq_len) + 3;
+       ++len) {
+    ExpectSequenceBitIdentical(packed, model,
+                               RandomIds(len, config.vocab_size, data_rng));
+  }
+  EXPECT_EQ(packed.ForwardSequence({}).rows(), 0);
+  EXPECT_TRUE(packed.PredictSequence({}).empty());
+}
+
+TEST(PackedSequenceTest, SequenceHeadMatchesChunkAndTapeAtEveryLength) {
+  nn::TransformerConfig config = SmallArch();
+  Rng init(7);
+  nn::SequenceClassifier model(config, /*num_classes=*/3, init);
+  PackedEngine packed(model, PackedEngineOptions{});
+  ASSERT_TRUE(packed.pooled());
+  ASSERT_EQ(packed.num_labels(), 3);
+  Rng data_rng(8);
+  for (size_t len = 1; len <= static_cast<size_t>(config.max_seq_len) + 3;
+       ++len) {
+    ExpectSequenceBitIdentical(packed, model,
+                               RandomIds(len, config.vocab_size, data_rng));
+  }
+}
+
+TEST(PackedSequenceTest, SequenceHeadPoolsEachMemberOfAChunk) {
+  // Mean pooling must stay inside each member's CSR row range: a
+  // multi-sequence chunk yields, per member, exactly that member's
+  // one-sequence logits.
+  nn::TransformerConfig config = SmallArch();
+  Rng init(9);
+  nn::SequenceClassifier model(config, /*num_classes=*/4, init);
+  PackedEngineOptions options;
+  options.chunk_tokens = 40;
+  PackedEngine packed(model, options);
+  Rng data_rng(10);
+  std::vector<std::vector<int32_t>> batch = RandomBatch(
+      {3, 17, 1, 24, 0, 9, 30, 5, 12}, config.vocab_size, data_rng);
+  std::vector<PackedChunk> chunks =
+      PackByLength(Ptrs(batch), packed.max_seq_len(), packed.chunk_tokens());
+  ASSERT_GT(chunks.size(), 1u);
+  for (const PackedChunk& chunk : chunks) {
+    PackedEngine::ChunkLogits logits = packed.ForwardChunk(chunk);
+    ASSERT_EQ(logits.rows, chunk.size());
+    for (int64_t s = 0; s < chunk.size(); ++s) {
+      const tensor::ConstTensorView single =
+          packed.ForwardSequence(batch[chunk.sequence[s]]);
+      ASSERT_EQ(single.rows(), 1);
+      for (int64_t j = 0; j < logits.cols; ++j) {
+        ASSERT_EQ(logits.data[s * logits.cols + j], single.row(0)[j])
+            << "member " << chunk.sequence[s] << " col " << j;
+      }
+    }
+  }
+  std::vector<std::vector<int32_t>> labels = packed.PredictBatch(Ptrs(batch));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].empty()) {
+      EXPECT_TRUE(labels[i].empty());
+    } else {
+      EXPECT_EQ(labels[i], std::vector<int32_t>{model.Predict(batch[i])});
+    }
+  }
+}
+
+TEST(PackedSequenceTest, Int8EngineRunsSingleSequencesInFloat) {
+  nn::TransformerConfig config = SmallArch();
+  Rng init(11);
+  nn::TokenClassifier model(config, /*num_labels=*/11, init);
+  PackedEngineOptions int8_options;
+  int8_options.quantize_int8 = true;
+  PackedEngine packed_int8(model, int8_options);
+  PackedEngine packed_float(model, PackedEngineOptions{});
+  Rng data_rng(12);
+  for (size_t len : {size_t{1}, size_t{8}, size_t{24}, size_t{27}}) {
+    std::vector<int32_t> ids = RandomIds(len, config.vocab_size, data_rng);
+    ExpectSequenceBitIdentical(packed_float, model, ids);
+    const tensor::ConstTensorView f = packed_float.ForwardSequence(ids);
+    const std::vector<float> expected(f.data(), f.data() + f.numel());
+    const tensor::ConstTensorView q = packed_int8.ForwardSequence(ids);
+    ASSERT_EQ(q.numel(), f.numel());
+    for (int64_t i = 0; i < q.numel(); ++i) {
+      ASSERT_EQ(q.data()[i], expected[static_cast<size_t>(i)])
+          << "T=" << len << " logit " << i;
+    }
+  }
+}
+
+TEST(PackedSequenceTest, ConcurrentCallersGetIdenticalResults) {
+  // One engine per head, eight threads: each thread's calls interleave both
+  // engines (which share the thread's scratch) and must reproduce the
+  // serial logits float-for-float.
+  nn::TransformerConfig config = SmallArch();
+  Rng init(13);
+  nn::TokenClassifier token_model(config, /*num_labels=*/11, init);
+  nn::SequenceClassifier sequence_model(config, /*num_classes=*/2, init);
+  const PackedEngine token_engine(token_model, PackedEngineOptions{});
+  const PackedEngine sequence_engine(sequence_model, PackedEngineOptions{});
+
+  auto copy = [](const tensor::ConstTensorView& view) {
+    return std::vector<float>(view.data(), view.data() + view.numel());
+  };
+  std::vector<std::vector<int32_t>> inputs;
+  std::vector<std::vector<float>> token_expected;
+  std::vector<std::vector<float>> sequence_expected;
+  Rng data_rng(14);
+  for (int i = 0; i < 64; ++i) {
+    inputs.push_back(RandomIds(1 + static_cast<size_t>(i) % 30,
+                               config.vocab_size, data_rng));
+    token_expected.push_back(copy(token_engine.ForwardSequence(inputs[i])));
+    sequence_expected.push_back(
+        copy(sequence_engine.ForwardSequence(inputs[i])));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        for (size_t i = static_cast<size_t>(t); i < inputs.size(); ++i) {
+          if (copy(token_engine.ForwardSequence(inputs[i])) !=
+              token_expected[i]) {
+            ++mismatches;
+          }
+          if (copy(sequence_engine.ForwardSequence(inputs[i])) !=
+              sequence_expected[i]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // int8 path: tolerance-pinned against float.
 
 TEST(PackedEngineTest, Int8LogitsCloseAndLabelsMostlyAgree) {
@@ -353,8 +535,8 @@ TEST(PackedEngineTest, Int8LogitsCloseAndLabelsMostlyAgree) {
 
 // ---------------------------------------------------------------------------
 // Extractor-level parity: the packed ExtractAll path emits byte-identical
-// records to serial per-objective Extract() calls (which run the
-// per-example engine), for every thread count.
+// records to serial per-objective Extract() calls (which run one-sequence
+// packed calls), for every thread count.
 
 TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
   data::SustainabilityGoalsConfig corpus_config;

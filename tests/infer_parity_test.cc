@@ -1,9 +1,9 @@
-// Bit-exactness tests for the graph-free inference engine (src/infer): the
-// compiled-plan path must produce float-identical logits — not just close,
-// not just same argmax — to the autograd evaluation path, across model
-// families, random seeds, sequence lengths, and thread counts, and the
-// whole extractor must emit identical DetailRecords with the engine on and
-// off. Parity holds by construction (both paths run the same forward
+// Bit-exactness tests for the graph-free inference engines (src/infer): the
+// compiled-plan path (token classifier) and the packed engine's sequence
+// head must produce float-identical logits — not just close, not just same
+// argmax — to the autograd evaluation path, across model families, random
+// seeds, sequence lengths, and thread counts, and the whole extractor must
+// emit identical DetailRecords with the engines on and off. Parity holds by construction (both paths run the same forward
 // kernels from tensor/forward.h in the same order); these tests pin it down
 // end to end so a future kernel "optimization" that reorders float math
 // shows up as an exact diff.
@@ -18,6 +18,7 @@
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "infer/engine.h"
+#include "infer/packed.h"
 #include "nn/transformer.h"
 #include "tensor/view.h"
 
@@ -102,24 +103,30 @@ TEST(InferParityTest, TokenClassifierBitIdenticalAcrossConfigsAndSeeds) {
 }
 
 TEST(InferParityTest, SequenceClassifierBitIdenticalAcrossConfigsAndSeeds) {
+  // The packed engine's sequence head (mean pool over the CSR row range,
+  // then the head linear) against the tape's MeanRows + Linear.
   for (const nn::TransformerConfig& config : ParityConfigs()) {
     for (uint64_t seed : {3u, 99u}) {
       Rng init(seed);
       nn::SequenceClassifier model(config, /*num_classes=*/3, init);
-      infer::Engine engine = infer::Engine::ForSequenceClassifier(model);
+      infer::PackedEngine engine(model, infer::PackedEngineOptions{});
+      ASSERT_TRUE(engine.pooled());
       Rng data_rng(seed + 1);
       for (size_t len : {size_t{1}, size_t{5},
-                         static_cast<size_t>(config.max_seq_len)}) {
+                         static_cast<size_t>(config.max_seq_len),
+                         static_cast<size_t>(config.max_seq_len) + 2}) {
         std::vector<int32_t> ids =
             RandomIds(len, config.vocab_size, data_rng);
-        tensor::TensorView engine_logits = engine.Logits(ids);
+        tensor::ConstTensorView engine_logits = engine.ForwardSequence(ids);
         tensor::Var tape_logits = model.ForwardLogits(ids);
         ASSERT_EQ(engine_logits.rows(), 1);
-        ASSERT_EQ(engine_logits.cols(), 3);
+        ASSERT_EQ(tape_logits->value().dim(1), 3);
         for (int64_t i = 0; i < 3; ++i) {
-          ASSERT_EQ(engine_logits.data()[i], tape_logits->value().data()[i]);
+          ASSERT_EQ(engine_logits.row(0)[i], tape_logits->value().data()[i])
+              << "class " << i << " diverges for T=" << len;
         }
-        EXPECT_EQ(engine.PredictClass(ids), model.Predict(ids));
+        EXPECT_EQ(engine.PredictSequence(ids),
+                  std::vector<int32_t>{model.Predict(ids)});
       }
     }
   }
@@ -230,6 +237,11 @@ TEST(InferParityTest, GoldenCorpusExtractionIdenticalEngineOnAndOff) {
     EXPECT_EQ(with_engine[i].fields, without_engine[i].fields)
         << "record " << i << " (" << with_engine[i].objective_id
         << ") diverges between engine and autograd extraction";
+    // Single Extract() runs the packed engine one sequence at a time.
+    EXPECT_EQ(engine_extractor.Extract((*objectives)[i]).fields,
+              without_engine[i].fields)
+        << "record " << i << " diverges between single packed and "
+        << "autograd extraction";
   }
 }
 

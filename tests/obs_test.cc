@@ -129,6 +129,32 @@ TEST(HistogramTest, QuantilesAreMonotone) {
   }
 }
 
+// Regression: interpolation used to place quantiles anywhere in a
+// bucket's width, e.g. p50 = 15 for observations 12..14 in a (10, 20]
+// bucket, or below the minimum for q near 0. Every quantile must stay in
+// the observed [min, max].
+TEST(HistogramTest, QuantilesStayWithinObservedMinMax) {
+  Histogram histogram({10.0, 20.0});
+  for (double v : {12.0, 13.0, 14.0}) histogram.Observe(v);
+  HistogramSnapshot snap = histogram.Snapshot();
+  for (double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+    const double value = snap.Quantile(q);
+    EXPECT_GE(value, 12.0) << "q=" << q;
+    EXPECT_LE(value, 14.0) << "q=" << q;
+  }
+
+  // Size histograms: every batch held exactly 8 items.
+  Histogram sizes(DefaultSizeBounds());
+  for (int i = 0; i < 100; ++i) sizes.Observe(8.0);
+  EXPECT_DOUBLE_EQ(sizes.Snapshot().Quantile(0.5), 8.0);
+  EXPECT_DOUBLE_EQ(sizes.Snapshot().Quantile(0.99), 8.0);
+
+  // The +inf bucket reports the observed maximum, not the last bound.
+  Histogram overflow({1.0});
+  overflow.Observe(100.0);
+  EXPECT_DOUBLE_EQ(overflow.Snapshot().Quantile(0.5), 100.0);
+}
+
 TEST(HistogramTest, QuantileMatchesUniformDistributionRoughly) {
   Histogram histogram({0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
   // 1000 evenly spaced observations in (0, 1].

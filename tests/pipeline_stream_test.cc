@@ -8,7 +8,11 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/extractor.h"
+#include "data/generator.h"
+#include "data/schema.h"
 #include "data/stream.h"
+#include "goalspotter/detector.h"
 #include "pipeline/feed.h"
 #include "pipeline/stream_pipeline.h"
 #include "values/value_normalizer.h"
@@ -254,6 +258,69 @@ TEST(StreamPipelineTest, GoldenReplayAndSerialParallelIdentity) {
   EXPECT_EQ(parallel_stats.inserted, serial_stats.inserted);
   EXPECT_EQ(parallel_stats.updated, serial_stats.updated);
   EXPECT_EQ(parallel_stats.objectives, serial_stats.objectives);
+}
+
+TEST(StreamPipelineTest, NeuralStagesSerialParallelIdentity) {
+  // Small transformer detect + extract stages: parallel ingest runs
+  // detection and one-sequence packed extraction on four exec workers at
+  // once (each with its own thread-local engine scratch), and must still
+  // export a byte-identical store.
+  std::vector<data::TimedDocument> documents =
+      data::GenerateReportStream(SmallStreamConfig());
+
+  std::vector<goalspotter::LabeledBlock> blocks;
+  for (const data::TimedDocument& document : documents) {
+    for (const data::ReportBlock& block : document.report.blocks) {
+      blocks.push_back({block.text, block.is_objective});
+    }
+  }
+  goalspotter::TransformerDetectorOptions detector_options;
+  detector_options.epochs = 2;
+  detector_options.bpe_merges = 200;
+  detector_options.d_model = 16;
+  detector_options.ffn_dim = 32;
+  goalspotter::TransformerObjectiveDetector detector(detector_options);
+  detector.Train(blocks);
+
+  data::SustainabilityGoalsConfig corpus_config;
+  corpus_config.objective_count = 80;
+  core::ExtractorConfig extractor_config;
+  extractor_config.kinds = data::SustainabilityGoalKinds();
+  extractor_config.epochs = 2;
+  extractor_config.bpe_merges = 300;
+  extractor_config.d_model = 16;
+  extractor_config.heads = 2;
+  extractor_config.ffn_dim = 32;
+  extractor_config.num_threads = 1;
+  core::DetailExtractor extractor(extractor_config);
+  ASSERT_TRUE(
+      extractor.Train(data::GenerateSustainabilityGoals(corpus_config)).ok());
+
+  StreamStages stages;
+  stages.is_objective = [&detector](const std::string& text) {
+    return detector.IsObjective(text);
+  };
+  stages.extract = [&extractor](const data::Objective& objective) {
+    return extractor.Extract(objective);
+  };
+  auto ingest = [&](bool parallel, StreamStats* stats) {
+    core::ObjectiveDatabase db(4, StreamDbOptions());
+    StreamPipelineOptions options;
+    options.parallel = parallel;
+    options.workers = parallel ? 4 : 0;
+    options.trust_feed_labels = false;
+    StreamPipeline pipeline(&db, stages, options);
+    *stats = pipeline.Process(documents);
+    return db.ExportCsv(ExportKinds());
+  };
+  StreamStats serial_stats;
+  StreamStats parallel_stats;
+  const std::string serial = ingest(false, &serial_stats);
+  const std::string parallel = ingest(true, &parallel_stats);
+  EXPECT_GT(serial_stats.objectives, 0);
+  EXPECT_GT(serial_stats.inserted, 0);
+  EXPECT_EQ(parallel_stats.objectives, serial_stats.objectives);
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST(StreamPipelineTest, SdgLabelsAndDriftCounters) {
