@@ -2,8 +2,9 @@
 // with open-loop Poisson traffic and reports sustained QPS at a fixed p99
 // target. Three phases:
 //
-//   1. steady  — offered load well under capacity: batches close on the
-//                deadline timer, nothing is shed, p99 stays inside SLO.
+//   1. steady  — offered load well under capacity: the handler is often
+//                free, so most batches leave below max size as soon as
+//                a request is ready; nothing is shed, p99 stays inside SLO.
 //   2. overload — offered load past capacity with burst episodes: batches
 //                close full (max-size trigger), admission sheds the
 //                excess with RESOURCE_EXHAUSTED, and the p99 of ADMITTED
@@ -85,7 +86,7 @@ PhaseReport RunPhase(const std::string& name,
   std::printf(
       "%-9s offered %5.0f qps -> completed %5.0f qps, shed %llu, "
       "p50 %.1f ms, interactive p99 %.1f ms, bulk p99 %.1f ms; "
-      "batch closes: %llu max-size, %llu deadline, %llu drain\n",
+      "batch closes: %llu max-size, %llu partial, %llu drain\n",
       name.c_str(), report.replay.offered_qps, report.replay.completed_qps,
       static_cast<unsigned long long>(report.stats.shed),
       report.replay.LatencyPercentile(0.50) * 1000.0,
@@ -138,7 +139,6 @@ int Run(bool smoke) {
   core::ServeConfig probe_config;
   probe_config.num_threads = threads;
   probe_config.max_batch_size = 8;
-  probe_config.batch_deadline_ms = 2.0;
   probe_config.max_queue_depth = 64;
   probe_config.slo_p99_ms = 1000.0;  // Depth-bound-only admission.
   serve::TrafficConfig probe_traffic;
@@ -161,22 +161,19 @@ int Run(bool smoke) {
   core::ServeConfig serve_config;
   serve_config.num_threads = threads;
   serve_config.max_batch_size = 8;
-  serve_config.batch_deadline_ms = std::max(1.0, 4.0 * effective_ms);
   serve_config.max_queue_depth = 64;
-  // SLO: batch formation plus three full batches of effective service
-  // time, floored high enough to absorb scheduler jitter on small boxes.
-  serve_config.slo_p99_ms =
-      std::max(30.0, serve_config.batch_deadline_ms + 24.0 * effective_ms);
-  // Admit only up to 30% of the SLO's delay budget: the rest is headroom
-  // for the admitted request's own batch service time and timer jitter,
+  // SLO: three full batches of effective service time, floored high
+  // enough to absorb scheduler jitter on small boxes.
+  serve_config.slo_p99_ms = std::max(30.0, 24.0 * effective_ms);
+  // Admit only up to 30% of the SLO: the rest is headroom for the
+  // admitted request's own batch service time and scheduling jitter,
   // which the queueing-delay estimate deliberately excludes.
-  serve_config.max_queue_delay_ms =
-      0.3 * (serve_config.slo_p99_ms - serve_config.batch_deadline_ms);
+  serve_config.max_queue_delay_ms = 0.3 * serve_config.slo_p99_ms;
   GOALEX_CHECK_OK(serve_config.Validate());
-  std::printf("serve config: batch<=%d, deadline %.1f ms, SLO p99 %.1f ms, "
+  std::printf("serve config: batch<=%d, SLO p99 %.1f ms, "
               "admit delay<=%.1f ms, queue<=%d\n\n",
-              serve_config.max_batch_size, serve_config.batch_deadline_ms,
-              serve_config.slo_p99_ms, serve_config.max_queue_delay_ms,
+              serve_config.max_batch_size, serve_config.slo_p99_ms,
+              serve_config.max_queue_delay_ms,
               serve_config.max_queue_depth);
 
   const double duration_s = smoke ? 0.5 : 2.0;
@@ -228,18 +225,18 @@ int Run(bool smoke) {
   std::printf("sustained QPS at p99 <= %.1f ms: %.0f\n\n",
               serve_config.slo_p99_ms, sustained_qps);
 
-  // Sanity checks the CI smoke run relies on: both close triggers fired
-  // somewhere, overload shed traffic, and steady-state met the SLO.
+  // Sanity checks the CI smoke run relies on: some batch filled up, the
+  // steady phase dispatched partial batches on a free handler instead of
+  // waiting for company, overload shed traffic, and admitted requests met
+  // the SLO under overload.
   uint64_t total_max_size = 0;
-  uint64_t total_deadline = 0;
   for (const PhaseReport& report : reports) {
     total_max_size += report.stats.closed_max_size;
-    total_deadline += report.stats.closed_deadline;
   }
   GOALEX_CHECK_MSG(total_max_size > 0,
                    "no batch ever closed on the max-size trigger");
-  GOALEX_CHECK_MSG(total_deadline > 0,
-                   "no batch ever closed on the deadline trigger");
+  GOALEX_CHECK_MSG(reports[0].stats.closed_deadline > 0,
+                   "the steady phase never dispatched a below-size batch");
   GOALEX_CHECK_MSG(reports[1].stats.shed > 0,
                    "overload phase shed nothing");
   GOALEX_CHECK_MSG(

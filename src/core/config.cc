@@ -188,9 +188,6 @@ Status ServeConfig::Validate() const {
   if (max_batch_size <= 0) {
     return InvalidArgumentError("serve: max_batch_size must be positive");
   }
-  if (batch_deadline_ms <= 0.0) {
-    return InvalidArgumentError("serve: batch_deadline_ms must be positive");
-  }
   if (max_queue_depth <= 0) {
     return InvalidArgumentError("serve: max_queue_depth must be positive");
   }

@@ -149,16 +149,13 @@ StatusOr<ModelPreset> ParseModelPreset(std::string_view name);
 
 /// Knobs of the extraction service (src/serve): a long-running scheduler
 /// that turns the batch ExtractAll path into a request/response service
-/// with continuous batch formation and SLO-aware admission control (see
-/// DESIGN.md §11).
+/// with work-conserving batch formation and SLO-aware admission control
+/// (see DESIGN.md §11). There is no batch-formation timer: the scheduler
+/// dispatches whenever its handler is free and a request is waiting.
 struct ServeConfig {
-  /// A forming batch closes as soon as it holds this many requests...
+  /// Upper bound on one dispatched batch. Requests that arrive while a
+  /// batch runs form the next one, so batches grow with load up to this.
   int32_t max_batch_size = 16;
-
-  /// ...or when the oldest waiting request has been queued this long,
-  /// whichever happens first. This bounds the queueing delay a lone
-  /// request pays for batching.
-  double batch_deadline_ms = 5.0;
 
   /// Admission control: new requests are shed (Status kResourceExhausted)
   /// once this many admitted requests are waiting to be scheduled.
@@ -169,8 +166,8 @@ struct ServeConfig {
   /// Admission control: requests are also shed when the estimated
   /// queueing delay — queue depth times the EMA of observed per-request
   /// service time — exceeds this bound. <= 0 derives the bound from the
-  /// SLO: slo_p99_ms - batch_deadline_ms (the queue may consume whatever
-  /// part of the latency budget batch formation does not).
+  /// SLO: slo_p99_ms (no request ever waits for a batch to fill, so the
+  /// queue may consume the whole latency budget).
   double max_queue_delay_ms = 0.0;
 
   /// End-to-end p99 latency target the service is operated against. Used
@@ -178,8 +175,9 @@ struct ServeConfig {
   /// bench_serve; the scheduler itself never drops an admitted request.
   double slo_p99_ms = 50.0;
 
-  /// Worker threads of the BatchRunner the service dispatches batches
-  /// onto: 0 = auto, 1 = serial (inference runs on the scheduler thread).
+  /// Workers of the thread pool a batch's extraction fans out on:
+  /// 0 = auto, 1 = serial (inference runs on the scheduler thread). The
+  /// scheduler waits for each batch either way.
   int32_t num_threads = 1;
 
   /// EMA smoothing factor for the per-request service-time estimate in
@@ -195,12 +193,12 @@ struct ServeConfig {
 
   /// Effective queue-delay bound in seconds (resolves the <= 0 default).
   double EffectiveQueueDelaySeconds() const {
-    double ms = max_queue_delay_ms > 0.0 ? max_queue_delay_ms
-                                         : slo_p99_ms - batch_deadline_ms;
+    const double ms = max_queue_delay_ms > 0.0 ? max_queue_delay_ms
+                                               : slo_p99_ms;
     return ms > 0.0 ? ms / 1000.0 : 0.0;
   }
 
-  /// Rejects non-positive sizes/deadlines and out-of-range alpha.
+  /// Rejects non-positive sizes and SLO, and out-of-range alpha.
   Status Validate() const;
 };
 

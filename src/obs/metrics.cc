@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -124,12 +125,16 @@ double HistogramSnapshot::Quantile(double q) const {
 const std::vector<double>& DefaultLatencyBounds() {
   static const std::vector<double>* const kBounds = [] {
     auto* bounds = new std::vector<double>();
-    // 1-2.5-5 per decade, 10us .. 25s: fine enough for per-stage latency,
-    // coarse enough that a snapshot stays readable.
-    for (double decade = 1e-5; decade < 30.0; decade *= 10.0) {
-      bounds->push_back(decade);
-      bounds->push_back(decade * 2.5);
-      bounds->push_back(decade * 5.0);
+    // Log-linear (HDR-style), 10us .. 95s: each decade is cut linearly in
+    // steps of a tenth of it from 1x to 2x, two tenths from 2x to 5x and
+    // five tenths from 5x to 10x, so no bucket is more than 10% wider than
+    // its lower bound while the bounds stay round numbers.
+    for (int exponent = -6; exponent <= 0; ++exponent) {
+      const double tenth = std::pow(10.0, exponent);
+      for (int tenths = 10; tenths < 100;
+           tenths += tenths < 20 ? 1 : tenths < 50 ? 2 : 5) {
+        bounds->push_back(tenths * tenth);
+      }
     }
     return bounds;
   }();

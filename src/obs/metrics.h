@@ -104,8 +104,10 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Exponential 1-2.5-5 ladder from 10 microseconds to 25 seconds — the
-/// default for the pipeline's per-stage latency histograms.
+/// Log-linear ladder from 10 microseconds to 95 seconds, 35 bounds per
+/// decade, no bucket more than 10% wider than its lower bound — so
+/// interpolated quantiles stay within 10% of the exact sample quantile.
+/// The default for the pipeline's latency histograms.
 const std::vector<double>& DefaultLatencyBounds();
 
 /// Power-of-four ladder from 1 to ~16k — for batch-size distributions.

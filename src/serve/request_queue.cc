@@ -1,7 +1,5 @@
 #include "serve/request_queue.h"
 
-#include "common/check.h"
-
 namespace goalex::serve {
 
 RequestQueue::~RequestQueue() {
@@ -61,21 +59,6 @@ size_t RequestQueue::ready_size() const {
   size_t total = 0;
   for (const std::deque<Request*>& fifo : ready_) total += fifo.size();
   return total;
-}
-
-std::chrono::steady_clock::time_point RequestQueue::OldestReadyEnqueueTime()
-    const {
-  GOALEX_CHECK(ready_size() > 0);
-  bool found = false;
-  std::chrono::steady_clock::time_point oldest{};
-  for (const std::deque<Request*>& fifo : ready_) {
-    if (fifo.empty()) continue;
-    if (!found || fifo.front()->enqueue_time < oldest) {
-      oldest = fifo.front()->enqueue_time;
-      found = true;
-    }
-  }
-  return oldest;
 }
 
 }  // namespace goalex::serve

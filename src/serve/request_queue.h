@@ -19,7 +19,7 @@ namespace goalex::serve {
 /// requests strictly before bulk ones, FIFO within a class.
 ///
 /// Thread contract: Push/depth are safe from any thread; Drain/Pop/
-/// ready_size/OldestReadyEnqueueTime are consumer-thread only.
+/// ready_size are consumer-thread only.
 class RequestQueue {
  public:
   RequestQueue() = default;
@@ -49,10 +49,6 @@ class RequestQueue {
 
   /// Consumer side: drained-but-unscheduled request count.
   size_t ready_size() const;
-
-  /// Consumer side: enqueue time of the oldest ready request (the batch
-  /// deadline anchor). Requires ready_size() > 0.
-  std::chrono::steady_clock::time_point OldestReadyEnqueueTime() const;
 
  private:
   /// Incoming Treiber stack head (newest first).

@@ -12,11 +12,6 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-SteadyClock::duration MillisecondsToDuration(double ms) {
-  return std::chrono::duration_cast<SteadyClock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
-
 double SecondsBetween(SteadyClock::time_point from,
                       SteadyClock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -84,7 +79,6 @@ void AdmissionController::ObserveBatch(double batch_seconds,
 Scheduler::Scheduler(const core::ServeConfig& config, BatchHandler handler)
     : config_(config),
       handler_(std::move(handler)),
-      batch_deadline_(MillisecondsToDuration(config.batch_deadline_ms)),
       admission_(config) {
   GOALEX_CHECK(handler_ != nullptr);
   Status valid = config_.Validate();
@@ -189,25 +183,13 @@ void Scheduler::Loop() {
       continue;
     }
 
-    const SteadyClock::time_point now = SteadyClock::now();
-    const SteadyClock::time_point deadline =
-        queue_.OldestReadyEnqueueTime() + batch_deadline_;
-    const bool full = ready >= max_batch;
-    if (!full && now < deadline && !stopping) {
-      // Keep the batch forming: sleep until the deadline or the next
-      // arrival, then re-evaluate both triggers.
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      if (!wake_signal_ && !stop_) wake_cv_.wait_until(lock, deadline);
-      wake_signal_ = false;
-      continue;
-    }
-
-    CloseTrigger trigger;
-    if (full) {
+    // Work-conserving close: the handler is free and a request is ready,
+    // so dispatch now. Whatever arrives while this batch runs is drained
+    // into the next one, so batches grow with load on their own.
+    CloseTrigger trigger = CloseTrigger::kIdle;
+    if (ready >= max_batch) {
       trigger = CloseTrigger::kMaxSize;
-    } else if (now >= deadline) {
-      trigger = CloseTrigger::kDeadline;
-    } else {
+    } else if (stopping) {
       trigger = CloseTrigger::kDrain;  // Shutdown flush of a partial batch.
     }
 
@@ -267,7 +249,7 @@ void Scheduler::RunBatch(std::vector<Request*>& batch, CloseTrigger trigger) {
     case CloseTrigger::kMaxSize:
       closed_max_size_.fetch_add(1, std::memory_order_relaxed);
       break;
-    case CloseTrigger::kDeadline:
+    case CloseTrigger::kIdle:
       closed_deadline_.fetch_add(1, std::memory_order_relaxed);
       break;
     case CloseTrigger::kDrain:
@@ -285,7 +267,7 @@ void Scheduler::RunBatch(std::vector<Request*>& batch, CloseTrigger trigger) {
       case CloseTrigger::kMaxSize:
         close_max_size_counter_->Increment();
         break;
-      case CloseTrigger::kDeadline:
+      case CloseTrigger::kIdle:
         close_deadline_counter_->Increment();
         break;
       case CloseTrigger::kDrain:

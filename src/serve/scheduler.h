@@ -21,9 +21,10 @@ namespace goalex::serve {
 /// SLO-aware admission control: load-sheds (kResourceExhausted) when the
 /// queue is deeper than the configured bound, or when the estimated
 /// queueing delay — depth times an EMA of observed per-request service
-/// time — exceeds the delay budget the SLO leaves after batch formation
-/// (DESIGN.md §11 derives the threshold). Bulk requests are held to half
-/// of both bounds so interactive traffic keeps headroom under overload.
+/// time — exceeds the delay budget (by default the whole SLO, since no
+/// request waits for a batch to fill; DESIGN.md §11). Bulk requests are
+/// held to half of both bounds so interactive traffic keeps headroom
+/// under overload.
 ///
 /// Admission is best-effort by design: concurrent producers race the
 /// depth read, so the bound can be overshot by at most the number of
@@ -63,8 +64,11 @@ struct ServeStats {
   uint64_t completed = 0;
   uint64_t failed = 0;      ///< Completed with a non-OK status.
   uint64_t batches = 0;
-  uint64_t closed_max_size = 0;  ///< Batches closed by the size trigger.
-  uint64_t closed_deadline = 0;  ///< Batches closed by the deadline timer.
+  uint64_t closed_max_size = 0;  ///< Batches of exactly max_batch_size.
+  /// Batches dispatched below max_batch_size because the handler was free
+  /// (the name predates the work-conserving policy; it is kept for the
+  /// readers of this field and of serve.batch.close.deadline).
+  uint64_t closed_deadline = 0;
   uint64_t closed_drain = 0;     ///< Partial batches flushed at shutdown.
 };
 
@@ -73,14 +77,17 @@ struct ServeStats {
 ///
 ///   producers --lock-free push--> RequestQueue --drain--> batch former
 ///        ^                                                    |
-///        +-- admission control (shed)          dispatch <-----+
+///        +-- admission control (shed)   dispatch when free <--+
 ///
-/// A dedicated scheduler thread forms dynamic batches from the queue: a
-/// batch closes when it reaches max_batch_size OR when the oldest waiting
-/// request hits the batch deadline, whichever fires first. Dequeue is
-/// priority-aware (interactive strictly before bulk). Each batch is
-/// handed to the BatchHandler (typically DetailExtractor inference fanned
-/// out on a runtime::BatchRunner); per-request promises deliver results.
+/// A dedicated scheduler thread forms batches work-conservingly: whenever
+/// the handler is free and at least one request is ready, it pops up to
+/// max_batch_size requests and dispatches them at once — it never waits
+/// for a batch to fill. Requests that arrive while a batch runs form the
+/// next batch, so batch size tracks load. Dequeue is priority-aware
+/// (interactive strictly before bulk). Each batch runs synchronously on
+/// the scheduler thread through the BatchHandler (typically
+/// DetailExtractor::ExtractBatch, which may fan out on a thread pool);
+/// per-request promises deliver results.
 ///
 /// Shutdown is clean: Stop() rejects new submissions, then drains every
 /// admitted request through the handler before joining, so no admitted
@@ -122,8 +129,9 @@ class Scheduler {
   const AdmissionController& admission() const { return admission_; }
 
  private:
-  /// Why a batch closed.
-  enum class CloseTrigger { kMaxSize, kDeadline, kDrain };
+  /// Why a batch closed: it was full, the handler was free (a partial
+  /// batch, counted in ServeStats::closed_deadline), or shutdown flushed it.
+  enum class CloseTrigger { kMaxSize, kIdle, kDrain };
 
   void Loop();
   void RunBatch(std::vector<Request*>& batch, CloseTrigger trigger);
@@ -131,7 +139,6 @@ class Scheduler {
 
   const core::ServeConfig config_;
   const BatchHandler handler_;
-  const std::chrono::steady_clock::duration batch_deadline_;
 
   RequestQueue queue_;
   AdmissionController admission_;

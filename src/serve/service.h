@@ -12,7 +12,8 @@
 namespace goalex::serve {
 
 /// Extraction-as-a-service: binds the continuous-batching Scheduler to a
-/// trained DetailExtractor. Each formed batch runs through
+/// trained DetailExtractor. The scheduler dispatches a batch whenever its
+/// handler is free and a request waits; each batch runs through
 /// DetailExtractor::ExtractBatch on a persistent worker pool
 /// (config.num_threads workers; 1 = inference inline on the scheduler
 /// thread) — the same staged/packed pipeline as ExtractAll, so a served

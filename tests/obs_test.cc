@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -153,6 +154,40 @@ TEST(HistogramTest, QuantilesStayWithinObservedMinMax) {
   Histogram overflow({1.0});
   overflow.Observe(100.0);
   EXPECT_DOUBLE_EQ(overflow.Snapshot().Quantile(0.5), 100.0);
+}
+
+// The default latency ladder is log-linear: from 10us up every bucket is
+// at most 10% wider than its lower bound, so an interpolated quantile
+// stays within 10% of the exact sample quantile at every scale. (A
+// 1-2.5-5 ladder put 0.3 ms observations in one (0.25, 0.5] ms bucket.)
+TEST(HistogramTest, DefaultLatencyQuantilesTrackExactSampleWithinTenPercent) {
+  const std::vector<double>& bounds = DefaultLatencyBounds();
+  ASSERT_LE(bounds.front(), 1e-5);
+  ASSERT_GE(bounds.back(), 25.0);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    ASSERT_LE(bounds[i] - bounds[i - 1], 0.1 * bounds[i - 1] * (1 + 1e-9))
+        << "bucket (" << bounds[i - 1] << ", " << bounds[i] << "]";
+  }
+
+  std::mt19937 rng(41);
+  for (double center : {2e-5, 3.3e-4, 1.2e-3, 4.7e-3, 0.06, 0.8, 15.0}) {
+    std::lognormal_distribution<double> sample(std::log(center), 0.2);
+    Histogram histogram(bounds);
+    std::vector<double> values;
+    for (int i = 0; i < 2000; ++i) {
+      values.push_back(std::clamp(sample(rng), 1e-5, 25.0));
+      histogram.Observe(values.back());
+    }
+    std::sort(values.begin(), values.end());
+    HistogramSnapshot snap = histogram.Snapshot();
+    for (double q : {0.01, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+      // The sample quantile Quantile() estimates: the ceil(q*n)-th value.
+      const double rank = std::ceil(q * static_cast<double>(values.size()));
+      const double exact = values[static_cast<size_t>(rank) - 1];
+      EXPECT_NEAR(snap.Quantile(q), exact, 0.1 * exact)
+          << "center " << center << " q " << q;
+    }
+  }
 }
 
 TEST(HistogramTest, QuantileMatchesUniformDistributionRoughly) {

@@ -1,10 +1,11 @@
 // Tests of the extraction service: the lock-light request queue, the
-// SLO-aware admission controller, the continuous-batching scheduler
-// (priority ordering, both close triggers, shedding, clean shutdown with
-// in-flight requests), the synthetic traffic generator, and end-to-end
+// SLO-aware admission controller, the work-conserving batching scheduler
+// (priority ordering, batch formation behind a busy handler, shedding,
+// clean shutdown with in-flight requests), the synthetic traffic generator, and end-to-end
 // parity between the served path and direct extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -36,7 +37,6 @@ data::Objective MakeObjective(const std::string& id) {
 core::ServeConfig FastConfig() {
   core::ServeConfig config;
   config.max_batch_size = 4;
-  config.batch_deadline_ms = 2.0;
   config.max_queue_depth = 256;
   return config;
 }
@@ -210,8 +210,7 @@ TEST(AdmissionControllerTest, ShedsAtDepthBoundAndHoldsBulkToHalf) {
 TEST(AdmissionControllerTest, ShedsWhenEstimatedDelayExceedsSloBudget) {
   core::ServeConfig config;
   config.max_queue_depth = 1024;
-  config.slo_p99_ms = 50.0;
-  config.batch_deadline_ms = 5.0;  // Delay budget: 45 ms.
+  config.slo_p99_ms = 45.0;  // Delay budget: the whole SLO, 45 ms.
   AdmissionController admission(config);
 
   // No service-time estimate yet: the delay bound is inactive.
@@ -251,7 +250,10 @@ TEST(ServeConfigTest, ValidatesBounds) {
   bad.max_batch_size = 0;
   EXPECT_FALSE(bad.Validate().ok());
   bad = config;
-  bad.batch_deadline_ms = -1.0;
+  bad.service_time_ema_alpha = 0.0;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = config;
+  bad.db_wal_fsync_interval = -1;
   EXPECT_FALSE(bad.Validate().ok());
   bad = config;
   bad.max_queue_depth = 0;
@@ -267,15 +269,17 @@ TEST(ServeConfigTest, ValidatesBounds) {
 TEST(ServeConfigTest, EffectiveQueueDelayDerivesFromSlo) {
   core::ServeConfig config;
   config.slo_p99_ms = 50.0;
-  config.batch_deadline_ms = 5.0;
   config.max_queue_delay_ms = 0.0;
-  EXPECT_DOUBLE_EQ(config.EffectiveQueueDelaySeconds(), 0.045);
+  // No batch-formation wait remains, so the whole SLO is the budget.
+  EXPECT_DOUBLE_EQ(config.EffectiveQueueDelaySeconds(), 0.050);
 
   config.max_queue_delay_ms = 20.0;  // Explicit bound wins.
   EXPECT_DOUBLE_EQ(config.EffectiveQueueDelaySeconds(), 0.020);
+  config.max_queue_delay_ms = 80.0;  // Even one looser than the SLO.
+  EXPECT_DOUBLE_EQ(config.EffectiveQueueDelaySeconds(), 0.080);
 
   config.max_queue_delay_ms = 0.0;
-  config.batch_deadline_ms = 80.0;  // Budget can never go negative.
+  config.slo_p99_ms = -5.0;  // Budget can never go negative.
   EXPECT_DOUBLE_EQ(config.EffectiveQueueDelaySeconds(), 0.0);
 }
 
@@ -310,49 +314,71 @@ TEST(SchedulerTest, CompletesAllSubmittedRequests) {
   EXPECT_GE(stats.batches, 3u);  // 10 requests, max batch 4.
 }
 
-TEST(SchedulerTest, MaxSizeTriggerClosesFullBatch) {
-  core::ServeConfig config = FastConfig();
-  config.max_batch_size = 4;
-  config.batch_deadline_ms = 2000.0;  // Deadline never fires in this test.
-  HandlerLog log;
-  Scheduler scheduler(config, EchoHandler(&log));
-
-  std::vector<ResultFuture> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(
-        scheduler.Submit(MakeObjective("m" + std::to_string(i))).value());
-  }
-  for (ResultFuture& future : futures) {
-    EXPECT_TRUE(future.get().ok());
-  }
-  ServeStats stats = scheduler.stats();
-  EXPECT_GE(stats.closed_max_size, 1u);
-  EXPECT_EQ(stats.closed_deadline, 0u);
-}
-
-TEST(SchedulerTest, DeadlineTriggerFlushesPartialBatch) {
+TEST(SchedulerTest, LoneRequestDispatchesAsBatchOfOne) {
+  // A free handler takes a lone request at once: no timer, no wait for
+  // company. The gate proves the handler is entered while nothing else
+  // was ever submitted.
   core::ServeConfig config = FastConfig();
   config.max_batch_size = 8;
-  config.batch_deadline_ms = 40.0;
   HandlerLog log;
-  Scheduler scheduler(config, EchoHandler(&log));
+  FirstCallGate gate;
+  Scheduler scheduler(config, EchoHandler(&log, &gate));
 
-  std::vector<ResultFuture> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(
-        scheduler.Submit(MakeObjective("d" + std::to_string(i))).value());
-  }
-  for (ResultFuture& future : futures) {
-    EXPECT_TRUE(future.get().ok());
-  }
+  ResultFuture lone = scheduler.Submit(MakeObjective("lone")).value();
+  gate.AwaitEntered();
+  gate.Open();
+  EXPECT_TRUE(lone.get().ok());
+
+  EXPECT_EQ(log.BatchSizes(), (std::vector<size_t>{1}));
   ServeStats stats = scheduler.stats();
-  EXPECT_GE(stats.closed_deadline, 1u);
-  EXPECT_EQ(stats.closed_max_size, 0u);  // Never saw 8 waiters.
-  // Every request waited at least one batch-formation window, so measured
-  // latency must reflect the deadline timer.
-  std::vector<size_t> sizes = log.BatchSizes();
-  ASSERT_FALSE(sizes.empty());
-  EXPECT_LT(sizes.front(), 8u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.closed_deadline, 1u);  // Partial: the handler was free.
+  EXPECT_EQ(stats.closed_max_size, 0u);
+  EXPECT_EQ(stats.closed_drain, 0u);
+}
+
+TEST(SchedulerTest, RequestsQueuedBehindBusyHandlerFormTheNextBatches) {
+  // While the gate holds the handler on a first lone request, N more
+  // arrive; once it is free they leave as batches of min(remaining,
+  // max_batch_size), full ones counted as max-size closes and the
+  // remainder as a partial close.
+  constexpr size_t kMaxBatch = 4;
+  for (size_t n : {1u, 3u, 4u, 9u}) {
+    SCOPED_TRACE("queued behind the handler: " + std::to_string(n));
+    core::ServeConfig config = FastConfig();
+    config.max_batch_size = static_cast<int32_t>(kMaxBatch);
+    HandlerLog log;
+    FirstCallGate gate;
+    Scheduler scheduler(config, EchoHandler(&log, &gate));
+
+    ResultFuture first = scheduler.Submit(MakeObjective("first")).value();
+    gate.AwaitEntered();
+    std::vector<ResultFuture> futures;
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(
+          scheduler.Submit(MakeObjective("q" + std::to_string(i))).value());
+    }
+    gate.Open();
+    EXPECT_TRUE(first.get().ok());
+    for (ResultFuture& future : futures) EXPECT_TRUE(future.get().ok());
+
+    std::vector<size_t> expected_sizes = {1};
+    for (size_t left = n; left > 0; left -= std::min(left, kMaxBatch)) {
+      expected_sizes.push_back(std::min(left, kMaxBatch));
+    }
+    EXPECT_EQ(log.BatchSizes(), expected_sizes);
+    std::vector<std::string> expected_order = {"first"};
+    for (size_t i = 0; i < n; ++i) {
+      expected_order.push_back("q" + std::to_string(i));
+    }
+    EXPECT_EQ(log.Order(), expected_order);
+
+    ServeStats stats = scheduler.stats();
+    EXPECT_EQ(stats.batches, expected_sizes.size());
+    EXPECT_EQ(stats.closed_max_size, n / kMaxBatch);
+    EXPECT_EQ(stats.closed_deadline, 1u + (n % kMaxBatch != 0 ? 1u : 0u));
+    EXPECT_EQ(stats.closed_drain, 0u);
+  }
 }
 
 TEST(SchedulerTest, InteractiveRequestsScheduleBeforeEarlierBulk) {
@@ -423,22 +449,31 @@ TEST(SchedulerTest, ShedsWithResourceExhaustedWhenQueueIsFull) {
 
 TEST(SchedulerTest, StopDrainsInFlightAndQueuedRequests) {
   core::ServeConfig config = FastConfig();
-  config.max_batch_size = 2;
-  config.batch_deadline_ms = 1000.0;  // Partial flush must be the drain.
+  config.max_batch_size = 4;
+  // Six waiters fill the queue, so submits shed until Stop() closes the
+  // accept gate; that tells the test when shutdown has begun.
+  config.max_queue_depth = 6;
   HandlerLog log;
   FirstCallGate gate;
   Scheduler scheduler(config, EchoHandler(&log, &gate));
 
   std::vector<ResultFuture> futures;
   futures.push_back(scheduler.Submit(MakeObjective("s0")).value());
-  futures.push_back(scheduler.Submit(MakeObjective("s1")).value());
-  gate.AwaitEntered();  // First batch of two held in the handler.
-  for (int i = 2; i < 7; ++i) {
+  gate.AwaitEntered();  // First batch (s0 alone) held in the handler.
+  for (int i = 1; i < 7; ++i) {
     futures.push_back(
         scheduler.Submit(MakeObjective("s" + std::to_string(i))).value());
   }
 
   std::thread stopper([&scheduler] { scheduler.Stop(); });
+  for (;;) {
+    StatusOr<ResultFuture> probe = scheduler.Submit(MakeObjective("probe"));
+    ASSERT_FALSE(probe.ok());
+    if (probe.status().code() == StatusCode::kFailedPrecondition) break;
+    EXPECT_EQ(probe.status().code(), StatusCode::kResourceExhausted);
+    std::this_thread::yield();
+  }
+  // Stop() raises its stop flag right after closing the accept gate.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   gate.Open();
   stopper.join();
@@ -451,13 +486,16 @@ TEST(SchedulerTest, StopDrainsInFlightAndQueuedRequests) {
   ServeStats stats = scheduler.stats();
   EXPECT_EQ(stats.admitted, 7u);
   EXPECT_EQ(stats.completed, 7u);
-  EXPECT_GE(stats.closed_drain, 1u);  // 5 queued = 2 + 2 + 1 partial.
+  // 6 queued = one full batch of 4 + a partial 2 flushed by the drain.
+  EXPECT_EQ(log.BatchSizes(), (std::vector<size_t>{1, 4, 2}));
+  EXPECT_EQ(stats.closed_max_size, 1u);
+  EXPECT_EQ(stats.closed_drain, 1u);
 
   // The gate is closed for good.
   StatusOr<ResultFuture> late = scheduler.Submit(MakeObjective("late"));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(scheduler.stats().rejected, 1u);
+  EXPECT_EQ(scheduler.stats().rejected, 2u);  // The probe and this one.
 }
 
 TEST(SchedulerTest, StopRacingSubmitNeverAbandonsAdmittedFutures) {
@@ -468,9 +506,7 @@ TEST(SchedulerTest, StopRacingSubmitNeverAbandonsAdmittedFutures) {
   // broken_promise). Hammer the Stop/Submit race; every admitted future
   // must resolve.
   for (int round = 0; round < 50; ++round) {
-    core::ServeConfig config = FastConfig();
-    config.batch_deadline_ms = 0.1;
-    Scheduler scheduler(config, EchoHandler(nullptr));
+    Scheduler scheduler(FastConfig(), EchoHandler(nullptr));
 
     std::vector<ResultFuture> admitted;
     std::thread producer([&scheduler, &admitted] {
@@ -570,7 +606,6 @@ TEST(SchedulerTest, FailedBatchesDoNotFeedTheServiceTimeEma) {
 TEST(SchedulerTest, ConcurrentProducersAreRaceFree) {
   core::ServeConfig config = FastConfig();
   config.max_batch_size = 8;
-  config.batch_deadline_ms = 1.0;
   Scheduler scheduler(config, EchoHandler(nullptr));
 
   constexpr int kThreads = 4;
@@ -733,7 +768,6 @@ TEST(ExtractionServiceTest, ServedRecordsMatchDirectExtraction) {
 
   core::ServeConfig serve_config;
   serve_config.max_batch_size = 4;
-  serve_config.batch_deadline_ms = 5.0;
   serve_config.num_threads = 2;
   ExtractionService service(&extractor, serve_config);
 
