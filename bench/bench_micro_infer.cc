@@ -12,7 +12,8 @@
 // engine bit-for-bit (full logits, not just argmax). The three packed-sweep
 // paths run interleaved round-robin within one process so machine
 // throughput drift hits them equally. Each configuration emits one
-// machine-readable JSON row for CI trend tracking.
+// machine-readable JSON row for CI trend tracking; the header line and
+// every row carry `simd_lanes`, the kernel width the build compiled for.
 //
 // --smoke runs the batch-64 sweep only and turns three properties into
 // hard CHECKs (CI runs this on every push):
@@ -38,6 +39,7 @@
 #include "eval/timer.h"
 #include "infer/engine.h"
 #include "infer/packed.h"
+#include "tensor/simd.h"
 #include "nn/transformer.h"
 #include "runtime/stats.h"
 
@@ -191,11 +193,11 @@ double RunPackedSweep(const nn::TokenClassifier& model,
                 fmt(float_tps, 0), fmt(int8_tps, 0),
                 fmt(float_tps / engine_tps, 2), fmt(int8_tps / engine_tps, 2)});
   std::printf(
-      "{\"bench\":\"micro_infer\",\"mode\":\"packed\",\"batch\":%zu,"
-      "\"rounds\":%d,\"engine_tokens_per_s\":%.0f,"
+      "{\"bench\":\"micro_infer\",\"simd_lanes\":%d,\"mode\":\"packed\","
+      "\"batch\":%zu,\"rounds\":%d,\"engine_tokens_per_s\":%.0f,"
       "\"packed_float_tokens_per_s\":%.0f,\"packed_int8_tokens_per_s\":%.0f,"
       "\"float_speedup\":%.3f,\"int8_speedup\":%.3f}\n",
-      batch_size, rounds, engine_tps, float_tps, int8_tps,
+      tensor::kSimdLanes, batch_size, rounds, engine_tps, float_tps, int8_tps,
       float_tps / engine_tps, int8_tps / engine_tps);
   return int8_tps / engine_tps;
 }
@@ -248,11 +250,12 @@ void RunSingleSequenceLatency(const nn::TokenClassifier& model,
   std::snprintf(buffer[2], sizeof(buffer[2]), "%.2f", engine_p50 / packed_p50);
   table.AddRow({std::to_string(t), buffer[0], buffer[1], buffer[2]});
   std::printf(
-      "{\"bench\":\"micro_infer\",\"mode\":\"single_sequence\",\"t\":%lld,"
+      "{\"bench\":\"micro_infer\",\"simd_lanes\":%d,"
+      "\"mode\":\"single_sequence\",\"t\":%lld,"
       "\"calls\":%d,\"engine_p50_us\":%.2f,\"packed_p50_us\":%.2f,"
       "\"speedup\":%.3f}\n",
-      static_cast<long long>(t), kCalls, engine_p50, packed_p50,
-      engine_p50 / packed_p50);
+      tensor::kSimdLanes, static_cast<long long>(t), kCalls, engine_p50,
+      packed_p50, engine_p50 / packed_p50);
 }
 
 /// Trains a small float extractor, round-trips the weights through
@@ -303,9 +306,9 @@ void CheckInt8F1Parity() {
                Corpus::kSustainabilityGoals);
   const double delta = float_prf.f1 - int8_prf.f1;
   std::printf(
-      "{\"bench\":\"micro_infer\",\"mode\":\"int8_f1\",\"float_f1\":%.4f,"
-      "\"int8_f1\":%.4f,\"delta\":%.4f}\n",
-      float_prf.f1, int8_prf.f1, delta);
+      "{\"bench\":\"micro_infer\",\"simd_lanes\":%d,\"mode\":\"int8_f1\","
+      "\"float_f1\":%.4f,\"int8_f1\":%.4f,\"delta\":%.4f}\n",
+      tensor::kSimdLanes, float_prf.f1, int8_prf.f1, delta);
   // The quantization budget: int8 may cost at most 0.5 F1 points.
   GOALEX_CHECK_MSG(delta <= 0.005 && delta >= -0.005,
                    "int8 extraction F1 diverged more than 0.5 points from "
@@ -323,8 +326,8 @@ void Run(bool smoke) {
   nn::TokenClassifier model(config, /*num_labels=*/11, rng);
   infer::Engine engine = infer::Engine::ForTokenClassifier(model);
 
-  std::printf("Microbenchmark: inference engine%s\n",
-              smoke ? " (smoke)" : "");
+  std::printf("Microbenchmark: inference engine%s, simd_lanes=%d\n",
+              smoke ? " (smoke)" : "", tensor::kSimdLanes);
   std::printf("model: d_model=%d heads=%d layers=%d ffn=%d max_seq_len=%d\n\n",
               config.d_model, config.heads, config.layers, config.ffn_dim,
               config.max_seq_len);
@@ -371,12 +374,12 @@ void Run(bool smoke) {
                     fmt(engine_s, 3), fmt(n / autograd_s, 0),
                     fmt(n / engine_s, 0), fmt(speedup, 2)});
       std::printf(
-          "{\"bench\":\"micro_infer\",\"threads\":%d,\"sequences\":%zu,"
-          "\"autograd_seconds\":%.6f,\"engine_seconds\":%.6f,"
-          "\"autograd_seq_per_s\":%.1f,\"engine_seq_per_s\":%.1f,"
-          "\"speedup\":%.3f}\n",
-          threads, traffic.size(), autograd_s, engine_s, n / autograd_s,
-          n / engine_s, speedup);
+          "{\"bench\":\"micro_infer\",\"simd_lanes\":%d,\"threads\":%d,"
+          "\"sequences\":%zu,\"autograd_seconds\":%.6f,"
+          "\"engine_seconds\":%.6f,\"autograd_seq_per_s\":%.1f,"
+          "\"engine_seq_per_s\":%.1f,\"speedup\":%.3f}\n",
+          tensor::kSimdLanes, threads, traffic.size(), autograd_s, engine_s,
+          n / autograd_s, n / engine_s, speedup);
     }
     std::printf("\n%s\n", table.Render().c_str());
   }

@@ -126,7 +126,8 @@ BpeModel BpeModel::Train(const std::vector<std::string>& corpus,
   return model;
 }
 
-std::vector<std::string> BpeModel::ApplyMerges(const std::string& word) const {
+const BpeModel::EncodedWord& BpeModel::ApplyMerges(
+    const std::string& word, EncodedWord& scratch) const {
   auto cached = cache_.find(word);
   if (cached != cache_.end()) return cached->second;
 
@@ -147,21 +148,33 @@ std::vector<std::string> BpeModel::ApplyMerges(const std::string& word) const {
     symbols.erase(symbols.begin() + best_pos + 1);
   }
 
-  if (!frozen_ && cache_.size() < 200000) cache_.emplace(word, symbols);
-  return symbols;
+  scratch.ids.clear();
+  for (const std::string& piece : symbols) {
+    scratch.ids.push_back(vocab_.GetId(piece));
+  }
+  scratch.pieces = std::move(symbols);
+  if (!frozen_ && cache_.size() < 200000) {
+    return cache_.emplace(word, std::move(scratch)).first->second;
+  }
+  return scratch;
 }
 
 std::vector<Subword> BpeModel::EncodeWords(
     const std::vector<std::string>& words) const {
   std::vector<Subword> out;
+  EncodedWord scratch;
+  std::string lowered;
   for (size_t w = 0; w < words.size(); ++w) {
-    const std::string prepared =
-        lowercase_ ? AsciiToLower(words[w]) : words[w];
-    std::vector<std::string> pieces = ApplyMerges(prepared);
-    for (size_t p = 0; p < pieces.size(); ++p) {
+    const std::string* prepared = &words[w];
+    if (lowercase_) {
+      lowered = AsciiToLower(words[w]);
+      prepared = &lowered;
+    }
+    const EncodedWord& encoded = ApplyMerges(*prepared, scratch);
+    for (size_t p = 0; p < encoded.pieces.size(); ++p) {
       Subword sw;
-      sw.text = pieces[p];
-      sw.id = vocab_.GetId(pieces[p]);
+      sw.text = encoded.pieces[p];
+      sw.id = encoded.ids[p];
       sw.word_index = w;
       sw.is_word_start = (p == 0);
       out.push_back(std::move(sw));

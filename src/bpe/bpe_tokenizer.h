@@ -75,17 +75,28 @@ class BpeModel {
  private:
   BpeModel() = default;
 
-  /// Applies the merge table to one word, returning its subword strings.
-  std::vector<std::string> ApplyMerges(const std::string& word) const;
+  /// One word's encoding: its subword strings and their vocabulary ids.
+  struct EncodedWord {
+    std::vector<std::string> pieces;
+    std::vector<TokenId> ids;
+  };
+
+  /// Applies the merge table to one word. A cache hit returns the cached
+  /// entry itself (no copy); a miss encodes into `scratch`, caches it while
+  /// the model is not frozen, and returns it.
+  const EncodedWord& ApplyMerges(const std::string& word,
+                                 EncodedWord& scratch) const;
 
   Vocab vocab_;
   std::vector<MergeRule> merges_;
   /// rank of each merge pair, keyed by "left\x1Fright".
   std::unordered_map<std::string, size_t> merge_ranks_;
   bool lowercase_ = false;
-  /// Per-word encode cache (word -> subword strings). Lazily filled on the
-  /// hot path until Freeze(); immutable (and thus thread-safe) afterwards.
-  mutable std::unordered_map<std::string, std::vector<std::string>> cache_;
+  /// Per-word encode cache (word -> subword strings and ids). Lazily filled
+  /// on the hot path until Freeze(); immutable (and thus thread-safe)
+  /// afterwards. The vocabulary is fixed once trained or loaded, so cached
+  /// ids never go stale.
+  mutable std::unordered_map<std::string, EncodedWord> cache_;
   bool frozen_ = false;
 };
 

@@ -199,8 +199,9 @@ PackedEngine::Layout PackedEngine::MakeLayout(int64_t total, int64_t nseq,
   layout.f1 = take(total * config_.ffn_dim);
   layout.pooled = take(pooled_ ? nseq * d : 0);
   layout.logits = take((pooled_ ? nseq : total) * head_cols_);
-  layout.kat = take(dh * max_t);
-  layout.scores = take(tensor::kPackedAttentionRowBlock * max_t);
+  layout.kat = take(dh * tensor::PackedAttentionStride(max_t));
+  layout.scores = take(tensor::kPackedAttentionRowBlock *
+                       tensor::PackedAttentionStride(max_t));
   layout.floats = off;
   return layout;
 }

@@ -125,11 +125,13 @@ double HistogramSnapshot::Quantile(double q) const {
 const std::vector<double>& DefaultLatencyBounds() {
   static const std::vector<double>* const kBounds = [] {
     auto* bounds = new std::vector<double>();
-    // Log-linear (HDR-style), 10us .. 95s: each decade is cut linearly in
+    // Log-linear (HDR-style), 100ns .. 95s: each decade is cut linearly in
     // steps of a tenth of it from 1x to 2x, two tenths from 2x to 5x and
     // five tenths from 5x to 10x, so no bucket is more than 10% wider than
-    // its lower bound while the bounds stay round numbers.
-    for (int exponent = -6; exponent <= 0; ++exponent) {
+    // its lower bound while the bounds stay round numbers. Per-objective
+    // stages (decode, weak labeling) run in a few microseconds, so the
+    // ladder reaches well below 10us.
+    for (int exponent = -8; exponent <= 0; ++exponent) {
       const double tenth = std::pow(10.0, exponent);
       for (int tenths = 10; tenths < 100;
            tenths += tenths < 20 ? 1 : tenths < 50 ? 2 : 5) {

@@ -104,7 +104,7 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Log-linear ladder from 10 microseconds to 95 seconds, 35 bounds per
+/// Log-linear ladder from 100 nanoseconds to 95 seconds, 35 bounds per
 /// decade, no bucket more than 10% wider than its lower bound — so
 /// interpolated quantiles stay within 10% of the exact sample quantile.
 /// The default for the pipeline's latency histograms.

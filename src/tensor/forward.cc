@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
-
 #include "common/check.h"
 #include "tensor/kernels.h"
 #include "tensor/mathfn.h"
@@ -61,140 +57,88 @@ void GemmRegAcc(const float* a, const float* b, float* c, int64_t m,
 #endif
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
 
-/// LinearForward's exact 2x32 register blocking with a fused epilogue
-/// applied at each output store: kEpi 0 = plain affine, 1 = tanh-GELU,
-/// 2 = residual add. The k-accumulation chains are untouched (strict k
-/// order, fmadd from 0, bias added once after), so each variant stays
-/// bit-identical to LinearForward composed with GeluForward / AddForward —
-/// the epilogue consumes the identical post-bias float it would otherwise
-/// round-trip through memory.
-template <int kEpi>
-void LinearFusedEpi(const float* x, const float* w, const float* bias,
-                    float* out, int64_t m, int64_t in, int64_t out_dim,
-                    const float* residual) {
-  const __m256 coef = _mm256_set1_ps(kGeluCoef);
-  const __m256 cubic = _mm256_set1_ps(kGeluCubic);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  auto epi8 = [&](__m256 acc, const float* bias_p, const float* res_p) {
-    acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias_p));
-    if constexpr (kEpi == 1) {
-      // GeluForward's vector chain verbatim (see mathfn.h).
-      const __m256 cvv = _mm256_mul_ps(_mm256_mul_ps(cubic, acc), acc);
-      const __m256 u = _mm256_mul_ps(coef, _mm256_fmadd_ps(cvv, acc, acc));
-      acc = _mm256_mul_ps(_mm256_mul_ps(half, acc),
-                          _mm256_add_ps(one, FastTanhf8(u)));
-    } else if constexpr (kEpi == 2) {
-      // AddForward's operand order: residual + linear.
-      acc = _mm256_add_ps(_mm256_loadu_ps(res_p), acc);
-    }
-    return acc;
-  };
-  auto epi1 = [&](float acc, float b, const float* res_p) {
-    acc += b;
-    if constexpr (kEpi == 1) {
-      acc = (0.5f * acc) * (1.0f + FastTanhf(GeluTanhArg(acc)));
-    } else if constexpr (kEpi == 2) {
-      acc = *res_p + acc;
-    }
-    return acc;
-  };
-  int64_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const float* x0 = x + i * in;
-    const float* x1 = x0 + in;
-    float* o0 = out + i * out_dim;
-    float* o1 = o0 + out_dim;
-    const float* r0 = residual != nullptr ? residual + i * out_dim : nullptr;
-    const float* r1 = r0 != nullptr ? r0 + out_dim : nullptr;
-    int64_t j0 = 0;
-    for (; j0 + 32 <= out_dim; j0 += 32) {
-      const float* w_base = w + j0;
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-      __m256 b0 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
-      __m256 b2 = _mm256_setzero_ps(), b3 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        const __m256 xv0 = _mm256_set1_ps(x0[l]);
-        const __m256 xv1 = _mm256_set1_ps(x1[l]);
-        const float* w_row = w_base + l * out_dim;
-        const __m256 w0v = _mm256_loadu_ps(w_row);
-        const __m256 w1v = _mm256_loadu_ps(w_row + 8);
-        const __m256 w2v = _mm256_loadu_ps(w_row + 16);
-        const __m256 w3v = _mm256_loadu_ps(w_row + 24);
-        a0 = _mm256_fmadd_ps(xv0, w0v, a0);
-        a1 = _mm256_fmadd_ps(xv0, w1v, a1);
-        a2 = _mm256_fmadd_ps(xv0, w2v, a2);
-        a3 = _mm256_fmadd_ps(xv0, w3v, a3);
-        b0 = _mm256_fmadd_ps(xv1, w0v, b0);
-        b1 = _mm256_fmadd_ps(xv1, w1v, b1);
-        b2 = _mm256_fmadd_ps(xv1, w2v, b2);
-        b3 = _mm256_fmadd_ps(xv1, w3v, b3);
-      }
-      _mm256_storeu_ps(o0 + j0, epi8(a0, bias + j0, r0 ? r0 + j0 : nullptr));
-      _mm256_storeu_ps(o0 + j0 + 8,
-                       epi8(a1, bias + j0 + 8, r0 ? r0 + j0 + 8 : nullptr));
-      _mm256_storeu_ps(o0 + j0 + 16,
-                       epi8(a2, bias + j0 + 16, r0 ? r0 + j0 + 16 : nullptr));
-      _mm256_storeu_ps(o0 + j0 + 24,
-                       epi8(a3, bias + j0 + 24, r0 ? r0 + j0 + 24 : nullptr));
-      _mm256_storeu_ps(o1 + j0, epi8(b0, bias + j0, r1 ? r1 + j0 : nullptr));
-      _mm256_storeu_ps(o1 + j0 + 8,
-                       epi8(b1, bias + j0 + 8, r1 ? r1 + j0 + 8 : nullptr));
-      _mm256_storeu_ps(o1 + j0 + 16,
-                       epi8(b2, bias + j0 + 16, r1 ? r1 + j0 + 16 : nullptr));
-      _mm256_storeu_ps(o1 + j0 + 24,
-                       epi8(b3, bias + j0 + 24, r1 ? r1 + j0 + 24 : nullptr));
-    }
-    for (; j0 + 8 <= out_dim; j0 += 8) {
-      const float* w_base = w + j0;
-      __m256 a = _mm256_setzero_ps(), b = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        const __m256 wv = _mm256_loadu_ps(w_base + l * out_dim);
-        a = _mm256_fmadd_ps(_mm256_set1_ps(x0[l]), wv, a);
-        b = _mm256_fmadd_ps(_mm256_set1_ps(x1[l]), wv, b);
-      }
-      _mm256_storeu_ps(o0 + j0, epi8(a, bias + j0, r0 ? r0 + j0 : nullptr));
-      _mm256_storeu_ps(o1 + j0, epi8(b, bias + j0, r1 ? r1 + j0 : nullptr));
-    }
-    for (; j0 < out_dim; ++j0) {
-      float a = 0.0f, b = 0.0f;
-      for (int64_t l = 0; l < in; ++l) {
-        const float wv = w[l * out_dim + j0];
-        a = std::fmaf(x0[l], wv, a);
-        b = std::fmaf(x1[l], wv, b);
-      }
-      o0[j0] = epi1(a, bias[j0], r0 ? r0 + j0 : nullptr);
-      o1[j0] = epi1(b, bias[j0], r1 ? r1 + j0 : nullptr);
+/// Register tile of the linear kernels: kRowTile rows × 32 columns, i.e.
+/// 2 rows × 4 vectors at 8 lanes and 4 rows × 2 vectors at 16 — eight
+/// accumulators either way, so every weight-vector load feeds kRowTile
+/// fused multiply-adds.
+constexpr int kColVecs = 32 / simd::kLanes;
+constexpr int kRowTile = simd::kLanes / 4;
+
+/// One kR × (kC·kLanes) output tile of out = epi(x W + bias): kEpi 0 =
+/// plain affine, 1 = tanh-GELU, 2 = residual add. `w`, `bias`, `res` and
+/// `out` point at the tile's first column; when kTail (kC == 1) only the
+/// lanes in `tail` are loaded and stored. Per output the k-products
+/// accumulate in strict order from 0 with one fused multiply-add each and
+/// the bias is added once after — the tape's Gemm + Axpy chain — and the
+/// epilogue consumes that same post-bias float (GeluForward's chain, or
+/// AddForward's residual + linear order).
+template <int kEpi, int kR, int kC, bool kTail>
+inline void LinearTile(const float* x, int64_t in, const float* w,
+                       int64_t out_dim, const float* bias, const float* res,
+                       float* out, simd::Mask tail) {
+  using namespace simd;
+  Vec acc[kR][kC];
+  for (int r = 0; r < kR; ++r) {
+    for (int c = 0; c < kC; ++c) acc[r][c] = Zero();
+  }
+  for (int64_t l = 0; l < in; ++l) {
+    const float* w_row = w + l * out_dim;
+    Vec wv[kC];
+    for (int c = 0; c < kC; ++c) wv[c] = LoadT<kTail>(w_row + c * kLanes, tail);
+    for (int r = 0; r < kR; ++r) {
+      const Vec xv = Set1(x[r * in + l]);
+      for (int c = 0; c < kC; ++c) acc[r][c] = Fmadd(xv, wv[c], acc[r][c]);
     }
   }
-  for (; i < m; ++i) {
-    const float* x0 = x + i * in;
-    float* o0 = out + i * out_dim;
-    const float* r0 = residual != nullptr ? residual + i * out_dim : nullptr;
-    int64_t j0 = 0;
-    for (; j0 + 8 <= out_dim; j0 += 8) {
-      const float* w_base = w + j0;
-      __m256 a = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        a = _mm256_fmadd_ps(_mm256_set1_ps(x0[l]),
-                            _mm256_loadu_ps(w_base + l * out_dim), a);
+  for (int c = 0; c < kC; ++c) {
+    const Vec bv = LoadT<kTail>(bias + c * kLanes, tail);
+    for (int r = 0; r < kR; ++r) {
+      Vec v = Add(acc[r][c], bv);
+      if constexpr (kEpi == 1) {
+        v = Gelu(v);
+      } else if constexpr (kEpi == 2) {
+        v = Add(LoadT<kTail>(res + r * out_dim + c * kLanes, tail), v);
       }
-      _mm256_storeu_ps(o0 + j0, epi8(a, bias + j0, r0 ? r0 + j0 : nullptr));
-    }
-    for (; j0 < out_dim; ++j0) {
-      float a = 0.0f;
-      for (int64_t l = 0; l < in; ++l) {
-        a = std::fmaf(x0[l], w[l * out_dim + j0], a);
-      }
-      o0[j0] = epi1(a, bias[j0], r0 ? r0 + j0 : nullptr);
+      StoreT<kTail>(out + r * out_dim + c * kLanes, v, tail);
     }
   }
 }
 
-#endif  // AVX2 && FMA
+/// kR rows of the linear: 32-column tiles, then single vectors, then one
+/// masked vector for the out_dim % kLanes remainder.
+template <int kEpi, int kR>
+void LinearRows(const float* x, const float* w, const float* bias,
+                float* out, int64_t in, int64_t out_dim,
+                const float* residual) {
+  simd::ForEachColumnTile<kColVecs>(
+      out_dim, [&](int64_t j0, auto cols, auto tail, simd::Mask mask) {
+        LinearTile<kEpi, kR, cols, tail>(x, in, w + j0, out_dim, bias + j0,
+                                         residual + j0, out + j0, mask);
+      });
+}
+
+template <int kEpi>
+void LinearFusedEpi(const float* x, const float* w, const float* bias,
+                    float* out, int64_t m, int64_t in, int64_t out_dim,
+                    const float* residual) {
+  // LinearTile reads `res` only in the residual epilogue; pointing it at
+  // `out` otherwise keeps the tile offsets off a null pointer.
+  const float* res = kEpi == 2 ? residual : out;
+  int64_t i = 0;
+  for (; i + kRowTile <= m; i += kRowTile) {
+    LinearRows<kEpi, kRowTile>(x + i * in, w, bias, out + i * out_dim, in,
+                               out_dim, res + i * out_dim);
+  }
+  simd::WithRowCount<kRowTile - 1>(m - i, [&](auto rows) {
+    LinearRows<kEpi, decltype(rows)::value>(x + i * in, w, bias,
+                                            out + i * out_dim, in, out_dim,
+                                            res + i * out_dim);
+  });
+}
+
+#endif  // GOALEX_SIMD_LANES
 
 }  // namespace
 
@@ -217,121 +161,8 @@ void LinearForward(const float* x, const float* w, const float* bias,
   // store/reload of the output row that bounds the memory-accumulating
   // kernel — the engine's main single-thread win over the tape at these
   // matrix sizes. infer_parity_test pins the resulting bit-identity.
-#if defined(__AVX2__) && defined(__FMA__)
-  int64_t i = 0;
-  // 2 input rows at a time over 32-column blocks: each weight-row load
-  // feeds both rows' accumulators, halving load-port pressure in the
-  // load-bound inner loop (8 fmadds per 4 weight loads + 2 broadcasts).
-  for (; i + 2 <= m; i += 2) {
-    const float* x0 = x + i * in;
-    const float* x1 = x0 + in;
-    float* o0 = out + i * out_dim;
-    float* o1 = o0 + out_dim;
-    int64_t j0 = 0;
-    for (; j0 + 32 <= out_dim; j0 += 32) {
-      const float* w_base = w + j0;
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-      __m256 b0 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
-      __m256 b2 = _mm256_setzero_ps(), b3 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        const __m256 xv0 = _mm256_set1_ps(x0[l]);
-        const __m256 xv1 = _mm256_set1_ps(x1[l]);
-        const float* w_row = w_base + l * out_dim;
-        const __m256 w0v = _mm256_loadu_ps(w_row);
-        const __m256 w1v = _mm256_loadu_ps(w_row + 8);
-        const __m256 w2v = _mm256_loadu_ps(w_row + 16);
-        const __m256 w3v = _mm256_loadu_ps(w_row + 24);
-        a0 = _mm256_fmadd_ps(xv0, w0v, a0);
-        a1 = _mm256_fmadd_ps(xv0, w1v, a1);
-        a2 = _mm256_fmadd_ps(xv0, w2v, a2);
-        a3 = _mm256_fmadd_ps(xv0, w3v, a3);
-        b0 = _mm256_fmadd_ps(xv1, w0v, b0);
-        b1 = _mm256_fmadd_ps(xv1, w1v, b1);
-        b2 = _mm256_fmadd_ps(xv1, w2v, b2);
-        b3 = _mm256_fmadd_ps(xv1, w3v, b3);
-      }
-      const __m256 bi0 = _mm256_loadu_ps(bias + j0);
-      const __m256 bi1 = _mm256_loadu_ps(bias + j0 + 8);
-      const __m256 bi2 = _mm256_loadu_ps(bias + j0 + 16);
-      const __m256 bi3 = _mm256_loadu_ps(bias + j0 + 24);
-      _mm256_storeu_ps(o0 + j0, _mm256_add_ps(a0, bi0));
-      _mm256_storeu_ps(o0 + j0 + 8, _mm256_add_ps(a1, bi1));
-      _mm256_storeu_ps(o0 + j0 + 16, _mm256_add_ps(a2, bi2));
-      _mm256_storeu_ps(o0 + j0 + 24, _mm256_add_ps(a3, bi3));
-      _mm256_storeu_ps(o1 + j0, _mm256_add_ps(b0, bi0));
-      _mm256_storeu_ps(o1 + j0 + 8, _mm256_add_ps(b1, bi1));
-      _mm256_storeu_ps(o1 + j0 + 16, _mm256_add_ps(b2, bi2));
-      _mm256_storeu_ps(o1 + j0 + 24, _mm256_add_ps(b3, bi3));
-    }
-    for (; j0 + 8 <= out_dim; j0 += 8) {
-      const float* w_base = w + j0;
-      __m256 a = _mm256_setzero_ps(), b = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        const __m256 wv = _mm256_loadu_ps(w_base + l * out_dim);
-        a = _mm256_fmadd_ps(_mm256_set1_ps(x0[l]), wv, a);
-        b = _mm256_fmadd_ps(_mm256_set1_ps(x1[l]), wv, b);
-      }
-      const __m256 bi = _mm256_loadu_ps(bias + j0);
-      _mm256_storeu_ps(o0 + j0, _mm256_add_ps(a, bi));
-      _mm256_storeu_ps(o1 + j0, _mm256_add_ps(b, bi));
-    }
-    for (; j0 < out_dim; ++j0) {
-      float a = 0.0f, b = 0.0f;
-      for (int64_t l = 0; l < in; ++l) {
-        const float wv = w[l * out_dim + j0];
-        a = std::fmaf(x0[l], wv, a);
-        b = std::fmaf(x1[l], wv, b);
-      }
-      o0[j0] = a + bias[j0];
-      o1[j0] = b + bias[j0];
-    }
-  }
-  for (; i < m; ++i) {
-    const float* x_row = x + i * in;
-    float* out_row = out + i * out_dim;
-    int64_t j0 = 0;
-    for (; j0 + 32 <= out_dim; j0 += 32) {
-      const float* w_base = w + j0;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        const __m256 xv = _mm256_set1_ps(x_row[l]);
-        const float* w_row = w_base + l * out_dim;
-        acc0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w_row), acc0);
-        acc1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w_row + 8), acc1);
-        acc2 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w_row + 16), acc2);
-        acc3 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w_row + 24), acc3);
-      }
-      _mm256_storeu_ps(out_row + j0,
-                       _mm256_add_ps(acc0, _mm256_loadu_ps(bias + j0)));
-      _mm256_storeu_ps(out_row + j0 + 8,
-                       _mm256_add_ps(acc1, _mm256_loadu_ps(bias + j0 + 8)));
-      _mm256_storeu_ps(out_row + j0 + 16,
-                       _mm256_add_ps(acc2, _mm256_loadu_ps(bias + j0 + 16)));
-      _mm256_storeu_ps(out_row + j0 + 24,
-                       _mm256_add_ps(acc3, _mm256_loadu_ps(bias + j0 + 24)));
-    }
-    for (; j0 + 8 <= out_dim; j0 += 8) {
-      const float* w_base = w + j0;
-      __m256 acc = _mm256_setzero_ps();
-      for (int64_t l = 0; l < in; ++l) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(x_row[l]),
-                              _mm256_loadu_ps(w_base + l * out_dim), acc);
-      }
-      _mm256_storeu_ps(out_row + j0,
-                       _mm256_add_ps(acc, _mm256_loadu_ps(bias + j0)));
-    }
-    for (; j0 < out_dim; ++j0) {
-      float acc = 0.0f;
-      for (int64_t l = 0; l < in; ++l) {
-        acc = std::fmaf(x_row[l], w[l * out_dim + j0], acc);
-      }
-      out_row[j0] = acc + bias[j0];
-    }
-  }
+#if defined(GOALEX_SIMD_LANES)
+  LinearFusedEpi<0>(x, w, bias, out, m, in, out_dim, nullptr);
 #else
   // Portable fallback: the tape's exact composition.
   Gemm(x, w, out, m, in, out_dim, /*accumulate=*/false);
@@ -343,7 +174,7 @@ void LinearForward(const float* x, const float* w, const float* bias,
 
 void LinearGeluForward(const float* x, const float* w, const float* bias,
                        float* out, int64_t m, int64_t in, int64_t out_dim) {
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
   LinearFusedEpi<1>(x, w, bias, out, m, in, out_dim, nullptr);
 #else
   // Portable fallback: the unfused composition it is defined against.
@@ -355,7 +186,7 @@ void LinearGeluForward(const float* x, const float* w, const float* bias,
 void LinearResidualForward(const float* x, const float* w, const float* bias,
                            const float* residual, float* out, int64_t m,
                            int64_t in, int64_t out_dim) {
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
   LinearFusedEpi<2>(x, w, bias, out, m, in, out_dim, residual);
 #else
   LinearForward(x, w, bias, out, m, in, out_dim);
@@ -364,31 +195,25 @@ void LinearResidualForward(const float* x, const float* w, const float* bias,
 }
 
 void GeluForward(const float* x, float* out, int64_t n) {
-  // Vectorized tanh-approximation GELU. The scalar tail reproduces the
-  // 8-lane arithmetic exactly (see mathfn.h), so results don't depend on
-  // where the vector/tail boundary falls. The backward pass (tensor/ops.cc
-  // Gelu) evaluates the same GeluTanhArg/FastTanhf pair.
+  // Vectorized tanh-approximation GELU; the remainder is a masked vector.
+  // Every lane reproduces the scalar arithmetic exactly (see mathfn.h), and
+  // the backward pass (tensor/ops.cc Gelu) evaluates the same
+  // GeluTanhArg/FastTanhf pair.
+#if defined(GOALEX_SIMD_LANES)
+  using namespace simd;
   int64_t i = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  const __m256 coef = _mm256_set1_ps(kGeluCoef);
-  const __m256 cubic = _mm256_set1_ps(kGeluCubic);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 cvv = _mm256_mul_ps(_mm256_mul_ps(cubic, v), v);
-    const __m256 u = _mm256_mul_ps(coef, _mm256_fmadd_ps(cvv, v, v));
-    const __m256 t = FastTanhf8(u);
-    _mm256_storeu_ps(
-        out + i,
-        _mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t)));
+  for (; i + kLanes <= n; i += kLanes) Store(out + i, Gelu(Load(x + i)));
+  if (i < n) {
+    const Mask m = FirstN(n - i);
+    Store(out + i, Gelu(Load(x + i, m)), m);
   }
-#endif
-  for (; i < n; ++i) {
+#else
+  for (int64_t i = 0; i < n; ++i) {
     float v = x[i];
     float t = FastTanhf(GeluTanhArg(v));
     out[i] = (0.5f * v) * (1.0f + t);
   }
+#endif
 }
 
 void LayerNormForward(const float* x, const float* gamma, const float* beta,

@@ -78,18 +78,19 @@ void SoftmaxRow(const float* x, float* out, int64_t n) {
     for (int64_t i = 0; i < n; ++i) out[i] = uniform;
     return;
   }
-  // Exponentiate every entry with the shared fast exp (vector and scalar
-  // tail are bit-identical); masked entries produce a harmless tiny value
-  // and are zeroed in the summation pass below.
-  int64_t i = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  const __m256 shift = _mm256_set1_ps(max_val);
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, FastExpf8(_mm256_sub_ps(_mm256_loadu_ps(x + i), shift)));
+  // Exponentiate every entry with the shared fast exp (every vector lane
+  // is bit-identical to the scalar function); masked entries produce a
+  // harmless tiny value and are zeroed in the summation pass below.
+#if defined(GOALEX_SIMD_LANES)
+  using namespace simd;
+  const Vec shift = Set1(max_val);
+  for (int64_t i = 0; i < n; i += kLanes) {
+    const Mask m = FirstN(n - i);
+    Store(out + i, FastExp(Sub(Load(x + i, m), shift)), m);
   }
+#else
+  for (int64_t i = 0; i < n; ++i) out[i] = FastExpf(x[i] - max_val);
 #endif
-  for (; i < n; ++i) out[i] = FastExpf(x[i] - max_val);
   double sum = 0.0;
   for (int64_t j = 0; j < n; ++j) {
     if (x[j] <= kSoftmaxMask / 2) {

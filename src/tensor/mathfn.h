@@ -5,21 +5,20 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace goalex::tensor {
 
 /// Fast float transcendentals shared by every execution strategy (autograd
 /// forward, autograd backward, and the graph-free inference engine). The
-/// scalar and AVX2 variants perform the same IEEE-defined operation
-/// sequence (fmaf <-> vfmadd lane, floor <-> roundps, div <-> divps), so a
-/// value computed 8-wide is bit-identical to the scalar tail — callers can
-/// mix them freely inside one array without introducing lane-dependent
-/// results. Accuracy: ~2 ulp for Expf, ~1e-7 absolute for Tanhf, which is
-/// orders of magnitude below both the finite-difference tolerance of the
-/// gradient checks and any effect on model accuracy.
+/// scalar and vector (simd.h, 8 or 16 lanes) variants perform the same
+/// IEEE-defined operation sequence (fmaf <-> vfmadd lane, floor <-> round,
+/// div <-> vdiv), so a value computed in a vector lane is bit-identical to
+/// the scalar function — callers can mix them freely inside one array
+/// without introducing lane-dependent results. Accuracy: ~2 ulp for Expf,
+/// ~1e-7 absolute for Tanhf, which is orders of magnitude below both the
+/// finite-difference tolerance of the gradient checks and any effect on
+/// model accuracy.
 ///
 /// Cephes-style range reduction: e^x = 2^n * e^r with n = round(x/ln 2),
 /// r in [-ln2/2, ln2/2], and a degree-5 minimax polynomial for e^r.
@@ -85,41 +84,49 @@ inline float GeluTanhArg(float v) {
   return kGeluCoef * std::fmaf(cvv, v, v);
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
 
-/// 8-lane FastExpf; each lane is bit-identical to the scalar function.
-inline __m256 FastExpf8(__m256 x) {
+/// FastExpf over simd::kLanes lanes; each lane is bit-identical to the
+/// scalar function (same clamp, fma, floor, conversion and multiply).
+inline simd::Vec FastExp(simd::Vec x) {
   using namespace mathfn_detail;
-  x = _mm256_min_ps(x, _mm256_set1_ps(kExpHi));
-  x = _mm256_max_ps(x, _mm256_set1_ps(kExpLo));
-  __m256 n = _mm256_floor_ps(
-      _mm256_fmadd_ps(x, _mm256_set1_ps(kLog2e), _mm256_set1_ps(0.5f)));
-  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Hi), x);
-  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Lo), r);
-  __m256 y = _mm256_set1_ps(kExpC0);
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpC1));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpC2));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpC3));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpC4));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpC5));
-  y = _mm256_fmadd_ps(y, _mm256_mul_ps(r, r), r);
-  y = _mm256_add_ps(y, _mm256_set1_ps(1.0f));
-  __m256i bits = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(bits));
+  using namespace simd;
+  x = Min(x, Set1(kExpHi));
+  x = Max(x, Set1(kExpLo));
+  Vec n = Floor(Fmadd(x, Set1(kLog2e), Set1(0.5f)));
+  Vec r = Fnmadd(n, Set1(kLn2Hi), x);
+  r = Fnmadd(n, Set1(kLn2Lo), r);
+  Vec y = Set1(kExpC0);
+  y = Fmadd(y, r, Set1(kExpC1));
+  y = Fmadd(y, r, Set1(kExpC2));
+  y = Fmadd(y, r, Set1(kExpC3));
+  y = Fmadd(y, r, Set1(kExpC4));
+  y = Fmadd(y, r, Set1(kExpC5));
+  y = Fmadd(y, Mul(r, r), r);
+  y = Add(y, Set1(1.0f));
+  const VecI bits = ShiftLeftI<23>(AddI(TruncToI(n), Set1I(127)));
+  return Mul(y, AsFloat(bits));
 }
 
-/// 8-lane FastTanhf; each lane is bit-identical to the scalar function.
-inline __m256 FastTanhf8(__m256 x) {
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  __m256 a = _mm256_andnot_ps(sign_mask, x);
-  __m256 t = FastExpf8(_mm256_mul_ps(a, _mm256_set1_ps(-2.0f)));
-  const __m256 one = _mm256_set1_ps(1.0f);
-  __m256 r = _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
-  return _mm256_or_ps(r, _mm256_and_ps(sign_mask, x));
+/// FastTanhf over simd::kLanes lanes; each lane is bit-identical to the
+/// scalar function.
+inline simd::Vec FastTanh(simd::Vec x) {
+  using namespace simd;
+  const Vec t = FastExp(Mul(Abs(x), Set1(-2.0f)));
+  const Vec one = Set1(1.0f);
+  return Or(Div(Sub(one, t), Add(one, t)), SignBit(x));
 }
 
-#endif  // __AVX2__ && __FMA__
+/// The tanh-GELU of GeluForward, lane for lane:
+/// (0.5 v) * (1 + tanh(GeluTanhArg(v))).
+inline simd::Vec Gelu(simd::Vec v) {
+  using namespace simd;
+  const Vec cvv = Mul(Mul(Set1(kGeluCubic), v), v);
+  const Vec u = Mul(Set1(kGeluCoef), Fmadd(cvv, v, v));
+  return Mul(Mul(Set1(0.5f), v), Add(Set1(1.0f), FastTanh(u)));
+}
+
+#endif  // GOALEX_SIMD_LANES
 
 }  // namespace goalex::tensor
 

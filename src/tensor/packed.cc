@@ -4,10 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
-
 #include "common/check.h"
 #include "tensor/forward.h"
 #include "tensor/kernels.h"
@@ -16,301 +12,249 @@
 namespace goalex::tensor {
 namespace {
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
 
-/// Scores for one tile: c[r, t] = scale * (q_rows · kat) with the running
-/// per-row max and the tile-wide min computed in the same pass. Two query
-/// rows share each 16-column block of K loads. Per output the dh-products
-/// accumulate in strict order from 0 with one fused multiply-add each and
-/// the scale is applied once at store — the same single rounding
-/// AttentionForward's GemmRegAcc + scale pass performs, so scores (and
-/// everything downstream) stay bit-identical. The tile min feeds the
-/// masked-score guard in the caller; row maxima seed the streaming softmax.
+/// Query rows per register tile (2 at 8 lanes, 4 at 16); each key or value
+/// vector load feeds that many fused multiply-adds.
+constexpr int kRowTile = simd::kLanes / 4;
+
+/// kR query rows × kC key-column vectors of scores: c[r, j] = scale *
+/// (q_r · kat[:, j]), with the running per-row max `mx` and the tile-wide
+/// min `mn` folded in. Rows of `kat` and `c` are padded to whole vectors,
+/// so loads and stores are unmasked; padding columns hold the last
+/// token's key, so their scores repeat column t-1's bits and cannot move
+/// the max or min. Per output the dh-products accumulate in strict order
+/// from 0 with one fused multiply-add each and the scale is applied once
+/// at store — the same single rounding AttentionForward's GemmRegAcc +
+/// scale pass performs, so scores (and everything downstream) stay
+/// bit-identical.
+template <int kR, int kC>
+inline void ScoreTile(const float* q, int64_t ld, const float* kat,
+                      int64_t tp, int64_t dh, simd::Vec scale, float* c,
+                      simd::Vec* mx, simd::Vec& mn) {
+  using namespace simd;
+  Vec acc[kR][kC];
+  for (int r = 0; r < kR; ++r) {
+    for (int z = 0; z < kC; ++z) acc[r][z] = Zero();
+  }
+  for (int64_t l = 0; l < dh; ++l) {
+    const float* k_row = kat + l * tp;
+    Vec kv[kC];
+    for (int z = 0; z < kC; ++z) kv[z] = Load(k_row + z * kLanes);
+    for (int r = 0; r < kR; ++r) {
+      const Vec qv = Set1(q[r * ld + l]);
+      for (int z = 0; z < kC; ++z) acc[r][z] = Fmadd(qv, kv[z], acc[r][z]);
+    }
+  }
+  for (int r = 0; r < kR; ++r) {
+    for (int z = 0; z < kC; ++z) {
+      const Vec a = Mul(acc[r][z], scale);
+      Store(c + r * tp + z * kLanes, a);
+      mx[r] = Max(mx[r], a);
+      mn = Min(mn, a);
+    }
+  }
+}
+
+/// kR rows of scores across the t key columns (through the padding):
+/// two-vector blocks, then single vectors.
+template <int kR>
+void ScoreRows(const float* q, int64_t ld, const float* kat, int64_t t,
+               int64_t tp, int64_t dh, simd::Vec scale, float* c,
+               float* row_max, simd::Vec& mn) {
+  using namespace simd;
+  Vec mx[kR];
+  for (int r = 0; r < kR; ++r) {
+    mx[r] = Set1(-std::numeric_limits<float>::infinity());
+  }
+  int64_t j0 = 0;
+  for (; j0 + 2 * kLanes <= t; j0 += 2 * kLanes) {
+    ScoreTile<kR, 2>(q, ld, kat + j0, tp, dh, scale, c + j0, mx, mn);
+  }
+  for (; j0 < t; j0 += kLanes) {
+    ScoreTile<kR, 1>(q, ld, kat + j0, tp, dh, scale, c + j0, mx, mn);
+  }
+  for (int r = 0; r < kR; ++r) row_max[r] = ReduceMax(mx[r]);
+}
+
+/// Scores for one tile of r query rows: c[r, tp], the per-row maxima that
+/// seed the streaming softmax, and the tile min that feeds the caller's
+/// masked-score guard.
 void ScoreMaxTile(const float* q, int64_t ld, const float* kat, float* c,
-                  int64_t t, int64_t r, int64_t dh, float scale,
+                  int64_t t, int64_t tp, int64_t r, int64_t dh, float scale,
                   float* row_max, float* tile_min) {
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 ninf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-  __m256 mn8 = _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  float mn_s = std::numeric_limits<float>::infinity();
+  using namespace simd;
+  const Vec sv = Set1(scale);
+  Vec mn = Set1(std::numeric_limits<float>::infinity());
   int64_t i = 0;
-  for (; i + 2 <= r; i += 2) {
-    const float* q0 = q + i * ld;
-    const float* q1 = q0 + ld;
-    float* c0 = c + i * t;
-    float* c1 = c0 + t;
-    __m256 mx0 = ninf, mx1 = ninf;
-    int64_t j0 = 0;
-    for (; j0 + 16 <= t; j0 += 16) {
-      const float* b_base = kat + j0;
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 b0 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < dh; ++l) {
-        const float* k_row = b_base + l * t;
-        const __m256 k0 = _mm256_loadu_ps(k_row);
-        const __m256 k1 = _mm256_loadu_ps(k_row + 8);
-        const __m256 qv0 = _mm256_set1_ps(q0[l]);
-        const __m256 qv1 = _mm256_set1_ps(q1[l]);
-        a0 = _mm256_fmadd_ps(qv0, k0, a0);
-        a1 = _mm256_fmadd_ps(qv0, k1, a1);
-        b0 = _mm256_fmadd_ps(qv1, k0, b0);
-        b1 = _mm256_fmadd_ps(qv1, k1, b1);
-      }
-      a0 = _mm256_mul_ps(a0, sv);
-      a1 = _mm256_mul_ps(a1, sv);
-      b0 = _mm256_mul_ps(b0, sv);
-      b1 = _mm256_mul_ps(b1, sv);
-      _mm256_storeu_ps(c0 + j0, a0);
-      _mm256_storeu_ps(c0 + j0 + 8, a1);
-      _mm256_storeu_ps(c1 + j0, b0);
-      _mm256_storeu_ps(c1 + j0 + 8, b1);
-      mx0 = _mm256_max_ps(mx0, _mm256_max_ps(a0, a1));
-      mx1 = _mm256_max_ps(mx1, _mm256_max_ps(b0, b1));
-      mn8 = _mm256_min_ps(mn8, _mm256_min_ps(_mm256_min_ps(a0, a1),
-                                             _mm256_min_ps(b0, b1)));
-    }
-    for (; j0 + 8 <= t; j0 += 8) {
-      const float* b_base = kat + j0;
-      __m256 a0 = _mm256_setzero_ps(), b0 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < dh; ++l) {
-        const __m256 kv = _mm256_loadu_ps(b_base + l * t);
-        a0 = _mm256_fmadd_ps(_mm256_set1_ps(q0[l]), kv, a0);
-        b0 = _mm256_fmadd_ps(_mm256_set1_ps(q1[l]), kv, b0);
-      }
-      a0 = _mm256_mul_ps(a0, sv);
-      b0 = _mm256_mul_ps(b0, sv);
-      _mm256_storeu_ps(c0 + j0, a0);
-      _mm256_storeu_ps(c1 + j0, b0);
-      mx0 = _mm256_max_ps(mx0, a0);
-      mx1 = _mm256_max_ps(mx1, b0);
-      mn8 = _mm256_min_ps(mn8, _mm256_min_ps(a0, b0));
-    }
-    alignas(32) float l0[8], l1[8];
-    _mm256_store_ps(l0, mx0);
-    _mm256_store_ps(l1, mx1);
-    float m0 = -std::numeric_limits<float>::infinity(), m1 = m0;
-    for (int z = 0; z < 8; ++z) {
-      m0 = std::max(m0, l0[z]);
-      m1 = std::max(m1, l1[z]);
-    }
-    for (; j0 < t; ++j0) {
-      float acc0 = 0.0f, acc1 = 0.0f;
-      for (int64_t l = 0; l < dh; ++l) {
-        acc0 = std::fmaf(q0[l], kat[l * t + j0], acc0);
-        acc1 = std::fmaf(q1[l], kat[l * t + j0], acc1);
-      }
-      acc0 *= scale;
-      acc1 *= scale;
-      c0[j0] = acc0;
-      c1[j0] = acc1;
-      m0 = std::max(m0, acc0);
-      m1 = std::max(m1, acc1);
-      mn_s = std::min(mn_s, std::min(acc0, acc1));
-    }
-    row_max[i] = m0;
-    row_max[i + 1] = m1;
+  for (; i + kRowTile <= r; i += kRowTile) {
+    ScoreRows<kRowTile>(q + i * ld, ld, kat, t, tp, dh, sv, c + i * tp,
+                        row_max + i, mn);
   }
-  for (; i < r; ++i) {
-    const float* q0 = q + i * ld;
-    float* c0 = c + i * t;
-    __m256 mx0 = ninf;
-    int64_t j0 = 0;
-    for (; j0 + 8 <= t; j0 += 8) {
-      const float* b_base = kat + j0;
-      __m256 a0 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < dh; ++l) {
-        a0 = _mm256_fmadd_ps(_mm256_set1_ps(q0[l]),
-                             _mm256_loadu_ps(b_base + l * t), a0);
-      }
-      a0 = _mm256_mul_ps(a0, sv);
-      _mm256_storeu_ps(c0 + j0, a0);
-      mx0 = _mm256_max_ps(mx0, a0);
-      mn8 = _mm256_min_ps(mn8, a0);
-    }
-    alignas(32) float l0[8];
-    _mm256_store_ps(l0, mx0);
-    float m0 = -std::numeric_limits<float>::infinity();
-    for (int z = 0; z < 8; ++z) m0 = std::max(m0, l0[z]);
-    for (; j0 < t; ++j0) {
-      float acc0 = 0.0f;
-      for (int64_t l = 0; l < dh; ++l) {
-        acc0 = std::fmaf(q0[l], kat[l * t + j0], acc0);
-      }
-      acc0 *= scale;
-      c0[j0] = acc0;
-      m0 = std::max(m0, acc0);
-      mn_s = std::min(mn_s, acc0);
-    }
-    row_max[i] = m0;
-  }
-  alignas(32) float mnl[8];
-  _mm256_store_ps(mnl, mn8);
-  for (int z = 0; z < 8; ++z) mn_s = std::min(mn_s, mnl[z]);
-  *tile_min = mn_s;
+  WithRowCount<kRowTile - 1>(r - i, [&](auto rows) {
+    ScoreRows<decltype(rows)::value>(q + i * ld, ld, kat, t, tp, dh, sv,
+                                     c + i * tp, row_max + i, mn);
+  });
+  *tile_min = ReduceMin(mn);
 }
 
 /// exp(rows - row_max) in place, then the per-row normalizer as a serial
-/// double sum — SoftmaxRow's exact chains, with four rows riding in
-/// parallel __m256d lanes (serial j order within each lane).
-void ExpSumTile(float* rows, int64_t t, int64_t nrows, const float* mx,
-                double* sums) {
+/// double sum over the t real columns — SoftmaxRow's exact chains. The
+/// sums run kLanesD rows per double vector (serial j order within each
+/// lane, columns transposed in registers); a short last group is padded
+/// with copies of its last row whose sums are dropped.
+void ExpSumTile(float* rows, int64_t t, int64_t tp, int64_t nrows,
+                const float* mx, double* sums) {
+  using namespace simd;
   for (int64_t r = 0; r < nrows; ++r) {
-    float* rr = rows + r * t;
-    const __m256 shift = _mm256_set1_ps(mx[r]);
-    int64_t j = 0;
-    for (; j + 8 <= t; j += 8) {
-      _mm256_storeu_ps(
-          rr + j, FastExpf8(_mm256_sub_ps(_mm256_loadu_ps(rr + j), shift)));
+    float* rr = rows + r * tp;
+    const Vec shift = Set1(mx[r]);
+    for (int64_t j = 0; j < t; j += kLanes) {
+      Store(rr + j, FastExp(Sub(Load(rr + j), shift)));
     }
-    for (; j < t; ++j) rr[j] = FastExpf(rr[j] - mx[r]);
   }
-  int64_t r = 0;
-  for (; r + 4 <= nrows; r += 4) {
-    const float* r0 = rows + r * t;
-    const float* r1 = r0 + t;
-    const float* r2 = r1 + t;
-    const float* r3 = r2 + t;
-    __m256d sum = _mm256_setzero_pd();
-    for (int64_t j = 0; j < t; ++j) {
-      __m128 f = _mm_setr_ps(r0[j], r1[j], r2[j], r3[j]);
-      sum = _mm256_add_pd(sum, _mm256_cvtps_pd(f));
-    }
-    _mm256_storeu_pd(sums + r, sum);
-  }
-  for (; r < nrows; ++r) {
-    const float* rr = rows + r * t;
-    double s = 0.0;
-    for (int64_t j = 0; j < t; ++j) s += rr[j];
-    sums[r] = s;
+  for (int64_t r = 0; r < nrows; r += kLanesD) {
+    const int64_t group = std::min<int64_t>(kLanesD, nrows - r);
+    const float* rp[kLanesD];
+    PadRows(rows + r * tp, tp, group, rp);
+    VecD sum = ZeroD();
+    ForEachColumnD</*kPaddedRows=*/true>(
+        rp, t, [&](VecD col) { sum = AddD(sum, col); });
+    double lane[kLanesD];
+    StoreD(lane, sum);
+    std::copy(lane, lane + group, sums + r);
   }
 }
 
-/// probs × V with the 1/sum normalizer folded into the broadcast:
-/// set1(e[l] * inv) is the same single-rounded float SoftmaxRow stores
-/// before the reference's GEMM, so the fmaf chains stay bit-identical.
-/// Two rows share each block of V loads.
-void ProbVTile(const float* e, int64_t t, const float* inv, const float* v,
-               int64_t ldv, float* out, int64_t ldo, int64_t m, int64_t dh) {
+/// kR rows × kC vectors of probs × V with the 1/sum normalizer folded into
+/// the broadcast: Set1(e[l] * inv) is the same single-rounded float
+/// SoftmaxRow stores before the reference's GEMM, so the fmaf chains stay
+/// bit-identical.
+template <int kR, int kC, bool kTail>
+inline void ProbVTileBlock(const float* e, int64_t t, int64_t tp,
+                           const float* inv, const float* v, int64_t ldv,
+                           float* out, int64_t ldo, simd::Mask tail) {
+  using namespace simd;
+  Vec acc[kR][kC];
+  for (int r = 0; r < kR; ++r) {
+    for (int z = 0; z < kC; ++z) acc[r][z] = Zero();
+  }
+  for (int64_t l = 0; l < t; ++l) {
+    const float* v_row = v + l * ldv;
+    Vec vv[kC];
+    for (int z = 0; z < kC; ++z) vv[z] = LoadT<kTail>(v_row + z * kLanes, tail);
+    for (int r = 0; r < kR; ++r) {
+      const Vec pv = Set1(e[r * tp + l] * inv[r]);
+      for (int z = 0; z < kC; ++z) acc[r][z] = Fmadd(pv, vv[z], acc[r][z]);
+    }
+  }
+  for (int r = 0; r < kR; ++r) {
+    for (int z = 0; z < kC; ++z) {
+      StoreT<kTail>(out + r * ldo + z * kLanes, acc[r][z], tail);
+    }
+  }
+}
+
+template <int kR>
+void ProbVRows(const float* e, int64_t t, int64_t tp, const float* inv,
+               const float* v, int64_t ldv, float* out, int64_t ldo,
+               int64_t dh) {
+  simd::ForEachColumnTile<2>(
+      dh, [&](int64_t j0, auto cols, auto tail, simd::Mask mask) {
+        ProbVTileBlock<kR, cols, tail>(e, t, tp, inv, v + j0, ldv, out + j0,
+                                       ldo, mask);
+      });
+}
+
+/// probs × V for m query rows of the tile (rows of `e` tp floats apart).
+void ProbVTile(const float* e, int64_t t, int64_t tp, const float* inv,
+               const float* v, int64_t ldv, float* out, int64_t ldo,
+               int64_t m, int64_t dh) {
   int64_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const float* p0 = e + i * t;
-    const float* p1 = p0 + t;
-    const float inv0 = inv[i], inv1 = inv[i + 1];
-    float* o0 = out + i * ldo;
-    float* o1 = o0 + ldo;
-    int64_t j0 = 0;
-    for (; j0 + 16 <= dh; j0 += 16) {
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 b0 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < t; ++l) {
-        const float* v_row = v + l * ldv + j0;
-        const __m256 v0 = _mm256_loadu_ps(v_row);
-        const __m256 v1 = _mm256_loadu_ps(v_row + 8);
-        const __m256 pv0 = _mm256_set1_ps(p0[l] * inv0);
-        const __m256 pv1 = _mm256_set1_ps(p1[l] * inv1);
-        a0 = _mm256_fmadd_ps(pv0, v0, a0);
-        a1 = _mm256_fmadd_ps(pv0, v1, a1);
-        b0 = _mm256_fmadd_ps(pv1, v0, b0);
-        b1 = _mm256_fmadd_ps(pv1, v1, b1);
-      }
-      _mm256_storeu_ps(o0 + j0, a0);
-      _mm256_storeu_ps(o0 + j0 + 8, a1);
-      _mm256_storeu_ps(o1 + j0, b0);
-      _mm256_storeu_ps(o1 + j0 + 8, b1);
-    }
-    for (; j0 < dh; ++j0) {
-      float a = 0.0f, b = 0.0f;
-      for (int64_t l = 0; l < t; ++l) {
-        a = std::fmaf(p0[l] * inv0, v[l * ldv + j0], a);
-        b = std::fmaf(p1[l] * inv1, v[l * ldv + j0], b);
-      }
-      o0[j0] = a;
-      o1[j0] = b;
-    }
+  for (; i + kRowTile <= m; i += kRowTile) {
+    ProbVRows<kRowTile>(e + i * tp, t, tp, inv + i, v, ldv, out + i * ldo,
+                        ldo, dh);
   }
-  for (; i < m; ++i) {
-    const float* p0 = e + i * t;
-    const float inv0 = inv[i];
-    float* o0 = out + i * ldo;
-    int64_t j0 = 0;
-    for (; j0 + 8 <= dh; j0 += 8) {
-      __m256 a0 = _mm256_setzero_ps();
-      for (int64_t l = 0; l < t; ++l) {
-        a0 = _mm256_fmadd_ps(_mm256_set1_ps(p0[l] * inv0),
-                             _mm256_loadu_ps(v + l * ldv + j0), a0);
-      }
-      _mm256_storeu_ps(o0 + j0, a0);
+  simd::WithRowCount<kRowTile - 1>(m - i, [&](auto rows) {
+    ProbVRows<decltype(rows)::value>(e + i * tp, t, tp, inv + i, v, ldv,
+                                     out + i * ldo, ldo, dh);
+  });
+}
+
+/// kat[l, j] = kh[j, l] for one head (dh rows of tp floats),
+/// kLanesD × kLanesD blocks at a time transposed in registers. Padding
+/// columns j >= t repeat the last token, so their scores repeat column
+/// t-1's (see ScoreTile).
+void TransposeHead(const float* kh, int64_t ld, int64_t t, int64_t tp,
+                   int64_t dh, float* kat) {
+  using namespace simd;
+  for (int64_t j = 0; j < tp; j += kLanesD) {
+    const float* rows[kLanesD];
+    if (j < t) {
+      PadRows(kh + j * ld, ld, std::min<int64_t>(kLanesD, t - j), rows);
+    } else {
+      PadRows(kh + (t - 1) * ld, ld, 1, rows);
     }
-    for (; j0 < dh; ++j0) {
-      float a = 0.0f;
-      for (int64_t l = 0; l < t; ++l) {
-        a = std::fmaf(p0[l] * inv0, v[l * ldv + j0], a);
+    for (int64_t l = 0; l < dh; l += kLanesD) {
+      const int64_t count = std::min<int64_t>(kLanesD, dh - l);
+      Half cols[kLanesD];
+      LoadColumns(rows, l, count, cols);
+      for (int64_t c = 0; c < count; ++c) {
+        StoreHalf(kat + (l + c) * tp + j, cols[c]);
       }
-      o0[j0] = a;
     }
   }
 }
 
-#endif  // AVX2 && FMA
+#endif  // GOALEX_SIMD_LANES
 
 }  // namespace
 
 void LayerNormPackedForward(const float* x, const float* gamma,
                             const float* beta, float* out, int64_t m,
                             int64_t n, float eps) {
-#if defined(__AVX2__) && defined(__FMA__)
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* r0 = x + i * n;
-    const float* r1 = r0 + n;
-    const float* r2 = r1 + n;
-    const float* r3 = r2 + n;
-    // Mean and variance in doubles, serial j order per lane — each lane's
-    // chain is exactly the scalar LayerNormForward computation.
-    __m256d mean = _mm256_setzero_pd();
-    for (int64_t j = 0; j < n; ++j) {
-      __m128 f = _mm_setr_ps(r0[j], r1[j], r2[j], r3[j]);
-      mean = _mm256_add_pd(mean, _mm256_cvtps_pd(f));
-    }
-    mean = _mm256_div_pd(mean, _mm256_set1_pd(static_cast<double>(n)));
-    __m256d var = _mm256_setzero_pd();
-    for (int64_t j = 0; j < n; ++j) {
-      __m128 f = _mm_setr_ps(r0[j], r1[j], r2[j], r3[j]);
-      __m256d dd = _mm256_sub_pd(_mm256_cvtps_pd(f), mean);
-      var = _mm256_add_pd(var, _mm256_mul_pd(dd, dd));
-    }
-    var = _mm256_div_pd(var, _mm256_set1_pd(static_cast<double>(n)));
-    __m256d invd = _mm256_div_pd(
-        _mm256_set1_pd(1.0),
-        _mm256_sqrt_pd(
-            _mm256_add_pd(var, _mm256_set1_pd(static_cast<double>(eps)))));
-    alignas(32) double inv_a[4], mean_a[4];
-    _mm256_store_pd(inv_a, invd);
-    _mm256_store_pd(mean_a, mean);
-    for (int64_t rr = 0; rr < 4; ++rr) {
-      const float* row = x + (i + rr) * n;
+#if defined(GOALEX_SIMD_LANES)
+  using namespace simd;
+  const VecD nd = Set1D(static_cast<double>(n));
+  for (int64_t i = 0; i < m; i += kLanesD) {
+    // kLanesD rows per double vector; a short last group is padded with
+    // copies of its last row. Mean and variance in doubles, serial j order
+    // per lane — each lane's chain is exactly the scalar LayerNormForward
+    // computation.
+    const int64_t group = std::min<int64_t>(kLanesD, m - i);
+    const float* base = x + i * n;
+    const float* rows[kLanesD];
+    PadRows(base, n, group, rows);
+    VecD mean = ZeroD();
+    ForEachColumnD(rows, n, [&](VecD col) { mean = AddD(mean, col); });
+    mean = DivD(mean, nd);
+    VecD var = ZeroD();
+    ForEachColumnD(rows, n, [&](VecD col) {
+      const VecD dd = SubD(col, mean);
+      var = AddD(var, MulD(dd, dd));
+    });
+    var = DivD(var, nd);
+    const VecD invd = DivD(
+        Set1D(1.0), SqrtD(AddD(var, Set1D(static_cast<double>(eps)))));
+    double inv_a[kLanesD], mean_a[kLanesD];
+    StoreD(inv_a, invd);
+    StoreD(mean_a, mean);
+    for (int64_t rr = 0; rr < group; ++rr) {
+      const float* row = base + rr * n;
       float* orow = out + (i + rr) * n;
-      const float inv = static_cast<float>(inv_a[rr]);
-      const float mf = static_cast<float>(mean_a[rr]);
-      const __m256 invv = _mm256_set1_ps(inv);
-      const __m256 mv = _mm256_set1_ps(mf);
+      const Vec invv = Set1(static_cast<float>(inv_a[rr]));
+      const Vec mv = Set1(static_cast<float>(mean_a[rr]));
       int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256 h = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + j), mv),
-                                 invv);
-        _mm256_storeu_ps(orow + j,
-                         _mm256_fmadd_ps(_mm256_loadu_ps(gamma + j), h,
-                                         _mm256_loadu_ps(beta + j)));
+      for (; j + kLanes <= n; j += kLanes) {
+        const Vec h = Mul(Sub(Load(row + j), mv), invv);
+        Store(orow + j, Fmadd(Load(gamma + j), h, Load(beta + j)));
       }
-      for (; j < n; ++j) {
-        float h = (row[j] - mf) * inv;
-        orow[j] = std::fmaf(gamma[j], h, beta[j]);
+      if (j < n) {
+        const Mask mk = FirstN(n - j);
+        const Vec h = Mul(Sub(Load(row + j, mk), mv), invv);
+        Store(orow + j, Fmadd(Load(gamma + j, mk), h, Load(beta + j, mk)), mk);
       }
     }
-  }
-  for (; i < m; ++i) {
-    LayerNormForward(x + i * n, gamma, beta, out + i * n, 1, n, eps, nullptr,
-                     nullptr);
   }
 #else
   LayerNormForward(x, gamma, beta, out, m, n, eps, nullptr, nullptr);
@@ -324,7 +268,7 @@ void AttentionPackedForward(const float* q, const float* k, const float* v,
   GOALEX_CHECK_GT(heads, 0);
   GOALEX_CHECK_MSG(d % heads == 0, "d_model " << d << " not divisible by "
                                               << heads << " heads");
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(GOALEX_SIMD_LANES)
   const int64_t dh = d / heads;
   const int64_t ld = d;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
@@ -333,17 +277,14 @@ void AttentionPackedForward(const float* q, const float* k, const float* v,
     const int64_t base = offsets[s];
     const int64_t t = offsets[s + 1] - offsets[s];
     if (t <= 0) continue;
+    const int64_t tp = PackedAttentionStride(t);
     for (int32_t a = 0; a < heads; ++a) {
       // Heads are strided slices of the packed [t, d] activations; K is
       // transposed once per head so score tiles stream contiguous rows.
       const float* qh = q + base * ld + a * dh;
       const float* kh = k + base * ld + a * dh;
       const float* vh = v + base * ld + a * dh;
-      for (int64_t j = 0; j < t; ++j) {
-        for (int64_t l = 0; l < dh; ++l) {
-          kat_scratch[l * t + j] = kh[j * ld + l];
-        }
-      }
+      TransposeHead(kh, ld, t, tp, dh, kat_scratch);
       float* oh = out + base * d + a * dh;
       float row_max[R];
       double row_sum[R];
@@ -351,8 +292,8 @@ void AttentionPackedForward(const float* q, const float* k, const float* v,
       for (int64_t i0 = 0; i0 < t; i0 += R) {
         const int64_t r = std::min(R, t - i0);
         float tile_min;
-        ScoreMaxTile(qh + i0 * ld, ld, kat_scratch, score_scratch, t, r, dh,
-                     scale, row_max, &tile_min);
+        ScoreMaxTile(qh + i0 * ld, ld, kat_scratch, score_scratch, t, tp, r,
+                     dh, scale, row_max, &tile_min);
         // The streaming path shifts by the true row max and folds 1/sum
         // into the probs×V broadcast. SoftmaxRow does the same — unless a
         // row holds masked (≤ kSoftmaxMask/2) or non-finite scores, where
@@ -365,16 +306,17 @@ void AttentionPackedForward(const float* q, const float* k, const float* v,
         }
         if (!plain) {
           for (int64_t z = 0; z < r; ++z) {
-            SoftmaxRow(score_scratch + z * t, score_scratch + z * t, t);
+            SoftmaxRow(score_scratch + z * tp, score_scratch + z * tp, t);
             row_inv[z] = 1.0f;
           }
         } else {
-          ExpSumTile(score_scratch, t, r, row_max, row_sum);
+          ExpSumTile(score_scratch, t, tp, r, row_max, row_sum);
           for (int64_t z = 0; z < r; ++z) {
             row_inv[z] = static_cast<float>(1.0 / row_sum[z]);
           }
         }
-        ProbVTile(score_scratch, t, row_inv, vh, ld, oh + i0 * d, d, r, dh);
+        ProbVTile(score_scratch, t, tp, row_inv, vh, ld, oh + i0 * d, d, r,
+                  dh);
       }
     }
   }

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "tensor/simd.h"
+
 namespace goalex::tensor {
 
 /// Padding-free packed-batch kernels (DESIGN.md §14). A packed batch lays
@@ -21,9 +23,17 @@ namespace goalex::tensor {
 /// AttentionPackedForward. Callers size `score_scratch` with this.
 inline constexpr int64_t kPackedAttentionRowBlock = 8;
 
+/// Row stride, in floats, of AttentionPackedForward's per-head scratch for
+/// a sequence of t tokens: t rounded up to whole vectors, so score and
+/// transposed-K rows are read and written without masks.
+inline constexpr int64_t PackedAttentionStride(int64_t t) {
+  return (t + kSimdLanes - 1) / kSimdLanes * kSimdLanes;
+}
+
 /// LayerNormForward over the packed token axis: same double-precision
-/// mean/variance chains per row (four rows ride in parallel __m256d lanes,
-/// serial within each lane), same float normalize. Equivalent to
+/// mean/variance chains per row (four or eight rows ride in parallel double
+/// lanes, serial within each lane; see simd.h), same float normalize.
+/// Equivalent to
 /// LayerNormForward(x, gamma, beta, out, m, n, eps, nullptr, nullptr).
 void LayerNormPackedForward(const float* x, const float* gamma,
                             const float* beta, float* out, int64_t m,
@@ -37,9 +47,10 @@ void LayerNormPackedForward(const float* x, const float* gamma,
 /// peak scratch is O(row_block · t) instead of AttentionForward's O(t²)
 /// score matrix — flash-attention structure, CPU edition.
 ///
-/// `kat_scratch` must hold (d/heads) · max_t floats and `score_scratch`
-/// kPackedAttentionRowBlock · max_t floats, where max_t is the longest
-/// sequence in the batch. Outputs are bit-identical per sequence to
+/// `kat_scratch` must hold (d/heads) · PackedAttentionStride(max_t) floats
+/// and `score_scratch` kPackedAttentionRowBlock ·
+/// PackedAttentionStride(max_t) floats, where max_t is the longest sequence
+/// in the batch. Outputs are bit-identical per sequence to
 /// AttentionForward (same fmaf chains per output; masked/non-finite score
 /// tiles fall back to SoftmaxRow exactly like the reference).
 void AttentionPackedForward(const float* q, const float* k, const float* v,

@@ -3,188 +3,164 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
-
 #include "common/check.h"
 #include "tensor/mathfn.h"
 
 namespace goalex::tensor {
 namespace {
 
+/// Bytes of one quantized activation row: whole input groups, padded to
+/// whole vectors because QuantizeRow stores simd::kLanes codes at a time.
+size_t RowCodeBytes(int64_t in_groups) {
+#if defined(GOALEX_SIMD_LANES)
+  const int64_t lanes = simd::kLanes;
+  return static_cast<size_t>((in_groups * 4 + lanes - 1) / lanes * lanes);
+#else
+  return static_cast<size_t>(in_groups * 4);
+#endif
+}
+
 /// Quantizes one activation row to u8 codes in [0, 127]:
 /// xq[l] = round((x[l] - min) / sx) with sx = (max - min) / 127. The
 /// asymmetric zero point keeps the full 7-bit budget on the actual
 /// activation range (post-layer-norm rows are roughly symmetric, but GELU
-/// outputs are not), and u8 codes are what maddubs wants on the left.
-/// Codes past `n` are zeroed so the grouped kernel can read whole groups.
+/// outputs are not), and u8 codes are what the u8 × s8 dot products want
+/// on the left. Codes past `n` are zeroed so the grouped kernel can read
+/// whole groups; `xq` holds RowCodeBytes(n_groups) bytes.
 void QuantizeRow(const float* x, int64_t n, uint8_t* xq, int64_t n_groups,
                  float* min_out, float* sx_out) {
-  float mn = x[0], mx = x[0];
+#if defined(GOALEX_SIMD_LANES)
+  using namespace simd;
+  // Min and max are exact, so lane order is irrelevant; masked-off tail
+  // lanes are filled with x[0].
+  const Vec first = Set1(x[0]);
+  Vec vmn = first, vmx = first;
   int64_t l = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  if (n >= 8) {
-    __m256 vmn = _mm256_loadu_ps(x), vmx = vmn;
-    for (l = 8; l + 8 <= n; l += 8) {
-      const __m256 v = _mm256_loadu_ps(x + l);
-      vmn = _mm256_min_ps(vmn, v);
-      vmx = _mm256_max_ps(vmx, v);
-    }
-    alignas(32) float a[8], b[8];
-    _mm256_store_ps(a, vmn);
-    _mm256_store_ps(b, vmx);
-    mn = a[0];
-    mx = b[0];
-    for (int z = 1; z < 8; ++z) {
-      mn = std::min(mn, a[z]);
-      mx = std::max(mx, b[z]);
-    }
+  for (; l + kLanes <= n; l += kLanes) {
+    const Vec v = Load(x + l);
+    vmn = Min(vmn, v);
+    vmx = Max(vmx, v);
   }
-#endif
-  for (; l < n; ++l) {
+  if (l < n) {
+    const Mask m = FirstN(n - l);
+    const Vec v = Select(m, Load(x + l, m), first);
+    vmn = Min(vmn, v);
+    vmx = Max(vmx, v);
+  }
+  const float mn = ReduceMin(vmn);
+  const float mx = ReduceMax(vmx);
+#else
+  float mn = x[0], mx = x[0];
+  for (int64_t l = 1; l < n; ++l) {
     mn = std::min(mn, x[l]);
     mx = std::max(mx, x[l]);
   }
+#endif
   const float range = mx - mn;
   const float sx = range > 0.0f ? range / 127.0f : 1.0f;
   const float inv = 1.0f / sx;
-  l = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vmn8 = _mm256_set1_ps(mn);
-  for (; l + 32 <= n; l += 32) {
-    const __m256i i0 = _mm256_cvtps_epi32(
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + l), vmn8), vinv));
-    const __m256i i1 = _mm256_cvtps_epi32(
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + l + 8), vmn8), vinv));
-    const __m256i i2 = _mm256_cvtps_epi32(
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + l + 16), vmn8), vinv));
-    const __m256i i3 = _mm256_cvtps_epi32(
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + l + 24), vmn8), vinv));
-    // packs/packus interleave 128-bit lanes; one permute restores order.
-    __m256i p01 = _mm256_packs_epi32(i0, i1);
-    __m256i p23 = _mm256_packs_epi32(i2, i3);
-    __m256i u = _mm256_packus_epi16(p01, p23);
-    u = _mm256_permutevar8x32_epi32(u,
-                                    _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(xq + l), u);
+#if defined(GOALEX_SIMD_LANES)
+  // cvtps rounds to nearest even, as lrintf does in the default mode.
+  const Vec vinv = Set1(inv);
+  const Vec vmin = Set1(mn);
+  for (int64_t j = 0; j < n; j += kLanes) {
+    StoreBytes(xq + j,
+               RoundToI(Mul(Sub(Load(x + j, FirstN(n - j)), vmin), vinv)));
   }
-#endif
-  for (; l < n; ++l) {
+#else
+  for (int64_t l = 0; l < n; ++l) {
     xq[l] = static_cast<uint8_t>(std::lrintf((x[l] - mn) * inv));
   }
+#endif
   for (int64_t z = n; z < n_groups * 4; ++z) xq[z] = 0;
   *min_out = mn;
   *sx_out = sx;
 }
 
-/// Dequantized output for one column given the exact int32 accumulator:
-/// sx·sw·acc + (mn·sw·colsum + bias), fmaf chains matching the SIMD
-/// epilogue so vector/tail columns agree.
-inline float Dequant(int32_t acc, float sx, float mn, float sw, float colsum,
-                     float bias) {
-  return std::fmaf(sx * sw, static_cast<float>(acc),
-                   std::fmaf(mn * sw, colsum, bias));
+#if defined(GOALEX_SIMD_LANES)
+
+/// Output columns per register tile: 4 vectors at 8 lanes, 2 at 16.
+constexpr int kColVecs = 32 / simd::kLanes;
+
+/// kC output vectors of one quantized row (columns from `j0`), epilogue
+/// fused at store; when kTail (kC == 1) only the lanes in `tail` are
+/// loaded and stored. Each int32 lane accumulates its column's
+/// u8 × s8 products exactly (DotU8I8), then dequantizes as
+/// sx·sw·acc + (mn·sw·colsum + bias). kEpi: 0 none, 1 GELU, 2 residual.
+template <int kEpi, int kC, bool kTail>
+inline void QuantizedTile(const uint8_t* xq, const QuantizedLinear& q,
+                          int64_t j0, simd::Vec vsx, simd::Vec vmn, float* o,
+                          const float* res, simd::Mask tail) {
+  using namespace simd;
+  const int64_t od = q.out;
+  VecI acc[kC];
+  for (int c = 0; c < kC; ++c) acc[c] = ZeroI();
+  const int8_t* wb = q.codes.data() + j0 * 4;
+  for (int64_t b = 0; b < q.in_groups; ++b) {
+    const VecI act = Set1I(LoadWord(xq + b * 4));
+    const int8_t* wrow = wb + b * od * 4;
+    for (int c = 0; c < kC; ++c) {
+      acc[c] = DotU8I8(acc[c], act, LoadIT<kTail>(wrow + c * kLanes * 4, tail));
+    }
+  }
+  for (int c = 0; c < kC; ++c) {
+    const int64_t j = j0 + c * kLanes;
+    const Vec sw = LoadT<kTail>(q.scale.data() + j, tail);
+    const Vec cs = LoadT<kTail>(q.colsum.data() + j, tail);
+    const Vec bv = LoadT<kTail>(q.bias.data() + j, tail);
+    Vec v = Fmadd(Mul(vsx, sw), ToFloat(acc[c]), Fmadd(Mul(vmn, sw), cs, bv));
+    if constexpr (kEpi == 1) {
+      v = Gelu(v);
+    } else if constexpr (kEpi == 2) {
+      v = Add(LoadT<kTail>(res + j, tail), v);
+    }
+    StoreT<kTail>(o + j, v, tail);
+  }
 }
 
-/// One quantized row×layer product into out_row, epilogue fused at store.
-/// kEpi: 0 none, 1 GELU, 2 residual add.
+#endif  // GOALEX_SIMD_LANES
+
+/// One quantized row×layer product into `o`, epilogue fused at store.
+/// kEpi: 0 none, 1 GELU, 2 residual add (`res` is read only then).
 template <int kEpi>
 void QuantizedRowForward(const uint8_t* xq, float mn, float sx,
                          const QuantizedLinear& q, float* o,
                          const float* res) {
   const int64_t od = q.out;
-  const int64_t groups = q.in_groups;
-  int64_t j0 = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  const __m256i ones = _mm256_set1_epi16(1);
-  const __m256 coef = _mm256_set1_ps(kGeluCoef);
-  const __m256 cubic = _mm256_set1_ps(kGeluCubic);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 vone = _mm256_set1_ps(1.0f);
-  const __m256 vsx = _mm256_set1_ps(sx);
-  const __m256 vmn = _mm256_set1_ps(mn);
-  for (; j0 + 32 <= od; j0 += 32) {
-    // Each maddubs pairs u8 activations (≤127) with s8 codes; the pair sum
-    // is ≤ 2·127·127, safely inside int16, and madd(…, ones) widens to
-    // int32 — the accumulation is exact.
-    __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-    __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-    const int8_t* wb = q.codes.data() + j0 * 4;
-    for (int64_t b = 0; b < groups; ++b) {
-      const __m256i act = _mm256_set1_epi32(
-          *reinterpret_cast<const int32_t*>(xq + b * 4));
-      const int8_t* wrow = wb + b * od * 4;
-      a0 = _mm256_add_epi32(
-          a0, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(
-                      act, _mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(wrow))),
-                  ones));
-      a1 = _mm256_add_epi32(
-          a1, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(
-                      act, _mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(wrow + 32))),
-                  ones));
-      a2 = _mm256_add_epi32(
-          a2, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(
-                      act, _mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(wrow + 64))),
-                  ones));
-      a3 = _mm256_add_epi32(
-          a3, _mm256_madd_epi16(
-                  _mm256_maddubs_epi16(
-                      act, _mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(wrow + 96))),
-                  ones));
-    }
-    for (int g = 0; g < 4; ++g) {
-      const __m256i acc = g == 0 ? a0 : g == 1 ? a1 : g == 2 ? a2 : a3;
-      const int64_t j = j0 + g * 8;
-      const __m256 swv = _mm256_loadu_ps(q.scale.data() + j);
-      const __m256 csv = _mm256_loadu_ps(q.colsum.data() + j);
-      const __m256 bv = _mm256_loadu_ps(q.bias.data() + j);
-      __m256 v = _mm256_fmadd_ps(
-          _mm256_mul_ps(vsx, swv), _mm256_cvtepi32_ps(acc),
-          _mm256_fmadd_ps(_mm256_mul_ps(vmn, swv), csv, bv));
-      if constexpr (kEpi == 1) {
-        const __m256 cvv = _mm256_mul_ps(_mm256_mul_ps(cubic, v), v);
-        const __m256 u = _mm256_mul_ps(coef, _mm256_fmadd_ps(cvv, v, v));
-        v = _mm256_mul_ps(_mm256_mul_ps(half, v),
-                          _mm256_add_ps(vone, FastTanhf8(u)));
-      } else if constexpr (kEpi == 2) {
-        v = _mm256_add_ps(_mm256_loadu_ps(res + j), v);
-      }
-      _mm256_storeu_ps(o + j, v);
-    }
-  }
-#endif
-  for (; j0 < od; ++j0) {
+#if defined(GOALEX_SIMD_LANES)
+  const simd::Vec vsx = simd::Set1(sx);
+  const simd::Vec vmn = simd::Set1(mn);
+  simd::ForEachColumnTile<kColVecs>(
+      od, [&](int64_t j0, auto cols, auto tail, simd::Mask mask) {
+        QuantizedTile<kEpi, cols, tail>(xq, q, j0, vsx, vmn, o, res, mask);
+      });
+#else
+  for (int64_t j = 0; j < od; ++j) {
     int32_t acc = 0;
-    for (int64_t b = 0; b < groups; ++b) {
-      const int8_t* wg = q.codes.data() + (b * od + j0) * 4;
+    for (int64_t b = 0; b < q.in_groups; ++b) {
+      const int8_t* wg = q.codes.data() + (b * od + j) * 4;
       const uint8_t* xg = xq + b * 4;
       for (int z = 0; z < 4; ++z) {
         acc += static_cast<int32_t>(xg[z]) * static_cast<int32_t>(wg[z]);
       }
     }
-    float v = Dequant(acc, sx, mn, q.scale[j0], q.colsum[j0], q.bias[j0]);
+    const float sw = q.scale[j];
+    float v = std::fmaf(sx * sw, static_cast<float>(acc),
+                        std::fmaf(mn * sw, q.colsum[j], q.bias[j]));
     if constexpr (kEpi == 1) {
       v = (0.5f * v) * (1.0f + FastTanhf(GeluTanhArg(v)));
     } else if constexpr (kEpi == 2) {
-      v = res[j0] + v;
+      v = res[j] + v;
     }
-    o[j0] = v;
+    o[j] = v;
   }
+#endif
 }
 
 template <int kEpi>
 void QuantizedForwardImpl(const float* x, const QuantizedLinear& q,
                           float* out, int64_t m, const float* residual) {
-  std::vector<uint8_t> xq(static_cast<size_t>(q.in_groups) * 4);
+  std::vector<uint8_t> xq(RowCodeBytes(q.in_groups));
   for (int64_t i = 0; i < m; ++i) {
     float mn, sx;
     QuantizeRow(x + i * q.in, q.in, xq.data(), q.in_groups, &mn, &sx);
@@ -249,7 +225,7 @@ void QuantizedQkvForward(const float* x, const QuantizedLinear& wq,
                          float* out_q, float* out_k, float* out_v, int64_t m) {
   GOALEX_CHECK(wq.in == wk.in && wk.in == wv.in);
   GOALEX_CHECK(wq.out == wk.out && wk.out == wv.out);
-  std::vector<uint8_t> xq(static_cast<size_t>(wq.in_groups) * 4);
+  std::vector<uint8_t> xq(RowCodeBytes(wq.in_groups));
   for (int64_t i = 0; i < m; ++i) {
     float mn, sx;
     QuantizeRow(x + i * wq.in, wq.in, xq.data(), wq.in_groups, &mn, &sx);

@@ -190,6 +190,32 @@ TEST(HistogramTest, DefaultLatencyQuantilesTrackExactSampleWithinTenPercent) {
   }
 }
 
+// Sub-10us stages (decode, weak labeling) used to share one [0, 10us]
+// bucket, so a 1.4us-mean stage reported p50 ~5us. The ladder now reaches
+// 100ns: quantiles of sub-10us samples track the exact sample quantile.
+TEST(HistogramTest, SubTenMicrosecondQuantilesTrackExactSample) {
+  const std::vector<double>& bounds = DefaultLatencyBounds();
+  ASSERT_LE(bounds.front(), 1e-7);
+  std::mt19937 rng(43);
+  for (double center : {2.5e-7, 1.4e-6, 5e-6}) {
+    std::lognormal_distribution<double> sample(std::log(center), 0.3);
+    Histogram histogram(bounds);
+    std::vector<double> values;
+    for (int i = 0; i < 2000; ++i) {
+      values.push_back(std::clamp(sample(rng), 1e-7, 9.9e-6));
+      histogram.Observe(values.back());
+    }
+    std::sort(values.begin(), values.end());
+    HistogramSnapshot snap = histogram.Snapshot();
+    for (double q : {0.01, 0.1, 0.5, 0.9, 0.99}) {
+      const double rank = std::ceil(q * static_cast<double>(values.size()));
+      const double exact = values[static_cast<size_t>(rank) - 1];
+      EXPECT_NEAR(snap.Quantile(q), exact, 0.1 * exact)
+          << "center " << center << " q " << q;
+    }
+  }
+}
+
 TEST(HistogramTest, QuantileMatchesUniformDistributionRoughly) {
   Histogram histogram({0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
   // 1000 evenly spaced observations in (0, 1].
