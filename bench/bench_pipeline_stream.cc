@@ -74,8 +74,9 @@ PhaseReport RunPhase(const std::string& name, core::ObjectiveDatabase* db,
   pipeline::StreamPipelineOptions options;
   options.parallel = parallel;
   options.workers = workers;
-  // Run real detection on every block (the feed's labels are ground
-  // truth, not something a deployed ingest gets to see).
+  // Run real detection, once per distinct block text of the feed (the
+  // feed's labels are ground truth, not something a deployed ingest gets
+  // to see).
   options.trust_feed_labels = false;
   pipeline::StreamPipeline pipe(db, pipeline::HeuristicStages(), options);
   PhaseReport report;
@@ -84,11 +85,12 @@ PhaseReport RunPhase(const std::string& name, core::ObjectiveDatabase* db,
   report.stats = pipe.Process(documents);
   report.seconds = timer.Seconds();
   std::printf(
-      "%-8s %5lld docs %6lld blocks -> %5lld objectives "
+      "%-8s %5lld docs %6lld blocks (%lld detections) -> %5lld objectives "
       "(%lld ins, %lld upd, %lld unch, %lld abandoned) in %.3f s "
       "= %.0f docs/s; unmatched %.1f%%, unknown-kind %.1f%%\n",
       name.c_str(), static_cast<long long>(report.stats.documents),
       static_cast<long long>(report.stats.blocks),
+      static_cast<long long>(report.stats.detections),
       static_cast<long long>(report.stats.objectives),
       static_cast<long long>(report.stats.inserted),
       static_cast<long long>(report.stats.updated),
@@ -155,10 +157,13 @@ int Run(bool smoke) {
               parallel_db.live_size() - truth.unique_targets());
 
   std::printf("\n");
-  eval::TextTable table({"Phase", "Docs", "Objectives", "Docs/s",
-                         "Unmatched %", "Unknown-kind %"});
+  eval::TextTable table({"Phase", "Docs", "Blocks", "Detections",
+                         "Objectives", "Docs/s", "Unmatched %",
+                         "Unknown-kind %"});
   for (const PhaseReport* report : {&serial, &parallel, &replay}) {
     table.AddRow({report->name, std::to_string(report->stats.documents),
+                  std::to_string(report->stats.blocks),
+                  std::to_string(report->stats.detections),
                   std::to_string(report->stats.objectives),
                   Fmt(report->DocsPerSec(), 0),
                   Fmt(100.0 * report->stats.unmatched_rate(), 1),

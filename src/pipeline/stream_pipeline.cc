@@ -1,7 +1,10 @@
 #include "pipeline/stream_pipeline.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -47,6 +50,10 @@ const std::set<std::string>& KnownActionVerbs() {
 /// least a sentence).
 constexpr int64_t kBlockSequenceStride = 1'000'000;
 
+/// Detection chunks per pool thread: a few per worker let stealing even
+/// out texts of different lengths.
+constexpr size_t kDetectChunksPerThread = 4;
+
 }  // namespace
 
 StreamStages HeuristicStages() {
@@ -82,6 +89,9 @@ StreamPipeline::StreamPipeline(core::ObjectiveDatabase* db,
   GOALEX_CHECK_MSG(db_ != nullptr, "StreamPipeline needs a database");
   GOALEX_CHECK_MSG(stages_.extract != nullptr,
                    "StreamStages.extract is required");
+  GOALEX_CHECK_MSG(options_.trust_feed_labels || stages_.is_objective,
+                   "StreamStages.is_objective is required unless the "
+                   "pipeline trusts feed labels");
   if (obs::Active()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
     unmatched_rate_gauge_ = registry.GetGauge("pipeline.unmatched_rate");
@@ -89,13 +99,62 @@ StreamPipeline::StreamPipeline(core::ObjectiveDatabase* db,
         registry.GetGauge("pipeline.unknown_kind_rate");
     docs_in_flight_gauge_ = registry.GetGauge("pipeline.docs_in_flight");
     documents_counter_ = registry.GetCounter("pipeline.documents");
+    detections_counter_ = registry.GetCounter("pipeline.detections");
     objectives_counter_ = registry.GetCounter("pipeline.objectives");
     abandoned_counter_ = registry.GetCounter("pipeline.abandoned");
   }
 }
 
+/// Block b of document d reads its answer at
+/// answers[text_ids[first_block[d] + b]].
+struct StreamPipeline::Detection {
+  std::vector<const std::string*> texts;  ///< Distinct, in feed order.
+  std::vector<int32_t> text_ids;          ///< Per block, in feed order.
+  std::vector<size_t> first_block;        ///< Per document.
+  /// Per distinct text; bytes, not vector<bool>, because detection chunks
+  /// write neighbouring entries concurrently.
+  std::vector<uint8_t> answers;
+
+  bool Detected(size_t document, size_t block) const {
+    return answers[text_ids[first_block[document] + block]] != 0;
+  }
+};
+
+StreamPipeline::Detection StreamPipeline::IndexDistinctTexts(
+    const std::vector<data::TimedDocument>& documents) {
+  size_t blocks = 0;
+  for (const data::TimedDocument& document : documents) {
+    blocks += document.report.blocks.size();
+  }
+  Detection detection;
+  detection.text_ids.reserve(blocks);
+  detection.first_block.reserve(documents.size());
+  // Keys view the documents' own strings, which outlive the batch.
+  std::unordered_map<std::string_view, int32_t> ids;
+  ids.reserve(blocks);
+  for (const data::TimedDocument& document : documents) {
+    detection.first_block.push_back(detection.text_ids.size());
+    for (const data::ReportBlock& block : document.report.blocks) {
+      auto [it, inserted] = ids.try_emplace(
+          block.text, static_cast<int32_t>(detection.texts.size()));
+      if (inserted) detection.texts.push_back(&block.text);
+      detection.text_ids.push_back(it->second);
+    }
+  }
+  detection.answers.assign(detection.texts.size(), 0);
+  return detection;
+}
+
+void StreamPipeline::DetectRange(Detection* detection, size_t begin,
+                                 size_t end) const {
+  for (size_t id = begin; id < end; ++id) {
+    detection->answers[id] = stages_.is_objective(*detection->texts[id]);
+  }
+}
+
 std::vector<StreamPipeline::BlockResult> StreamPipeline::RunDocument(
-    const data::TimedDocument& document, StreamStats* stats) const {
+    const data::TimedDocument& document, const Detection& detection,
+    size_t index, StreamStats* stats) const {
   std::vector<BlockResult> results;
   const data::Report& report = document.report;
   for (size_t i = 0; i < report.blocks.size(); ++i) {
@@ -103,8 +162,7 @@ std::vector<StreamPipeline::BlockResult> StreamPipeline::RunDocument(
     ++stats->blocks;
     const bool detected = options_.trust_feed_labels
                               ? block.is_objective
-                              : stages_.is_objective != nullptr &&
-                                    stages_.is_objective(block.text);
+                              : detection.Detected(index, i);
     if (!detected) continue;
     ++stats->objectives;
 
@@ -189,6 +247,38 @@ StreamStats StreamPipeline::Process(
   std::vector<std::vector<BlockResult>> results(documents.size());
   std::vector<StreamStats> work_stats(documents.size());
 
+  const bool parallel = options_.parallel && documents.size() >= 2;
+  std::unique_ptr<runtime::ThreadPool> pool;
+  if (parallel) pool = std::make_unique<runtime::ThreadPool>(options_.workers);
+  exec::Graph graph;
+
+  // Phase 1: one detector call per distinct block text of the batch.
+  Detection detection;
+  // Empty, or the one node that joins the detection chunks.
+  std::vector<exec::NodeId> detection_done;
+  if (!options_.trust_feed_labels) {
+    detection = IndexDistinctTexts(documents);
+    const size_t distinct = detection.texts.size();
+    batch.detections = static_cast<int64_t>(distinct);
+    if (parallel && pool->thread_count() > 1) {
+      const size_t chunks = static_cast<size_t>(pool->thread_count()) *
+                            kDetectChunksPerThread;
+      const size_t chunk =
+          std::max<size_t>(1, (distinct + chunks - 1) / chunks);
+      std::vector<exec::NodeId> chunk_nodes;
+      for (size_t begin = 0; begin < distinct; begin += chunk) {
+        const size_t end = std::min(distinct, begin + chunk);
+        chunk_nodes.push_back(graph.Add([this, &detection, begin, end] {
+          DetectRange(&detection, begin, end);
+        }));
+      }
+      detection_done.push_back(graph.Add([] {}, std::move(chunk_nodes)));
+    } else {
+      DetectRange(&detection, 0, distinct);
+    }
+  }
+
+  // Phase 2: per-document work, applied in feed order.
   auto merge_work = [](StreamStats* into, const StreamStats& from) {
     into->blocks += from.blocks;
     into->objectives += from.objectives;
@@ -201,25 +291,27 @@ StreamStats StreamPipeline::Process(
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
   };
 
-  if (!options_.parallel || documents.size() < 2) {
+  if (!parallel) {
     for (size_t i = 0; i < documents.size(); ++i) {
       in_flight_.fetch_add(1, std::memory_order_relaxed);
-      results[i] = RunDocument(documents[i], &work_stats[i]);
+      results[i] = RunDocument(documents[i], detection, i, &work_stats[i]);
       apply_one(i);
     }
   } else {
-    exec::Graph graph;
     exec::NodeId prev_apply = exec::kInvalidNode;
     for (size_t i = 0; i < documents.size(); ++i) {
-      exec::NodeId work = graph.Add([this, &documents, &results,
-                                     &work_stats, i] {
-        in_flight_.fetch_add(1, std::memory_order_relaxed);
-        if (docs_in_flight_gauge_ != nullptr) {
-          docs_in_flight_gauge_->Set(static_cast<double>(
-              in_flight_.load(std::memory_order_relaxed)));
-        }
-        results[i] = RunDocument(documents[i], &work_stats[i]);
-      });
+      // Every work node waits for the whole detection phase.
+      exec::NodeId work = graph.Add(
+          [this, &documents, &detection, &results, &work_stats, i] {
+            in_flight_.fetch_add(1, std::memory_order_relaxed);
+            if (docs_in_flight_gauge_ != nullptr) {
+              docs_in_flight_gauge_->Set(static_cast<double>(
+                  in_flight_.load(std::memory_order_relaxed)));
+            }
+            results[i] =
+                RunDocument(documents[i], detection, i, &work_stats[i]);
+          },
+          detection_done);
       std::vector<exec::NodeId> deps = {work};
       if (prev_apply != exec::kInvalidNode) deps.push_back(prev_apply);
       // Apply nodes form a chain in feed order: upsert i+1 starts only
@@ -227,14 +319,14 @@ StreamStats StreamPipeline::Process(
       prev_apply = graph.Add([&apply_one, i] { apply_one(i); },
                              std::move(deps));
     }
-    runtime::ThreadPool pool(options_.workers);
-    exec::Executor executor(&pool);
+    exec::Executor executor(pool.get());
     Status status = executor.Run(graph);
     GOALEX_CHECK_MSG(status.ok(), status.message());
   }
 
   totals_.documents += batch.documents;
   totals_.blocks += batch.blocks;
+  totals_.detections += batch.detections;
   totals_.objectives += batch.objectives;
   totals_.inserted += batch.inserted;
   totals_.updated += batch.updated;
@@ -244,6 +336,9 @@ StreamStats StreamPipeline::Process(
   totals_.unknown_kind += batch.unknown_kind;
   if (documents_counter_ != nullptr) {
     documents_counter_->Increment(static_cast<uint64_t>(batch.documents));
+  }
+  if (detections_counter_ != nullptr) {
+    detections_counter_->Increment(static_cast<uint64_t>(batch.detections));
   }
   if (objectives_counter_ != nullptr) {
     objectives_counter_->Increment(static_cast<uint64_t>(batch.objectives));

@@ -26,7 +26,10 @@ inline constexpr char kSdgField[] = "_sdg";
 /// Both must be thread-safe for concurrent calls (they run on executor
 /// workers).
 struct StreamStages {
-  /// Detection: is this report block a sustainability objective?
+  /// Detection: is this report block a sustainability objective? Must be
+  /// a pure function of `text`: StreamPipeline::Process calls it once per
+  /// distinct block text of a batch and hands that answer to every block
+  /// carrying the text. Required unless the pipeline trusts feed labels.
   std::function<bool(const std::string& text)> is_objective;
   /// Detail extraction for a detected objective.
   std::function<data::DetailRecord(const data::Objective& objective)> extract;
@@ -45,7 +48,7 @@ struct StreamPipelineOptions {
   /// Worker threads (0 = hardware concurrency).
   int workers = 0;
   /// Trust the feed's is_objective flags (upstream detection already ran)
-  /// instead of calling stages.is_objective on every block.
+  /// instead of calling stages.is_objective.
   bool trust_feed_labels = true;
   /// Attach SDG labels (kSdgField) to extracted records.
   bool classify_sdg = true;
@@ -59,6 +62,9 @@ struct StreamPipelineOptions {
 struct StreamStats {
   int64_t documents = 0;
   int64_t blocks = 0;
+  /// Calls to StreamStages::is_objective: one per distinct block text of
+  /// each Process batch, 0 when the feed's labels are trusted.
+  int64_t detections = 0;
   int64_t objectives = 0;  ///< Blocks that passed detection.
   int64_t inserted = 0;
   int64_t updated = 0;
@@ -86,13 +92,21 @@ struct StreamStats {
 /// Streaming corpus-to-dashboard ingest: detection -> extraction -> SDG
 /// labeling -> versioned database upsert.
 ///
-/// Per-document work (detect/extract/classify — the expensive part) fans
-/// out across executor workers; the database-apply step for document i
-/// depends on both its own work node and apply(i-1), so upserts land in
-/// feed order regardless of worker interleaving. Row ids, versions, and
-/// ExportCsv output are therefore identical between serial and parallel
-/// ingest of the same feed, and replaying a feed is idempotent (every
-/// upsert lands unchanged).
+/// Process runs in two phases. Detection comes first and is scoped to the
+/// batch: the batch's blocks are indexed by distinct text, first
+/// occurrence in feed order, and stages.is_objective runs once per
+/// distinct text (in contiguous chunks on executor workers when the pool
+/// has more than one thread, inline otherwise), so blocks whose text
+/// repeats within the batch share one call. Nothing is kept between
+/// Process calls.
+///
+/// Per-document work (extract/classify — reading each block's detection
+/// answer by index) then fans out across executor workers; the
+/// database-apply step for document i depends on both its own work node
+/// and apply(i-1), so upserts land in feed order regardless of worker
+/// interleaving. Row ids, versions, and ExportCsv output are therefore
+/// identical between serial and parallel ingest of the same feed, and
+/// replaying a feed is idempotent (every upsert lands unchanged).
 ///
 /// The database must be constructed with DbOptions::track_upserts.
 class StreamPipeline {
@@ -113,8 +127,15 @@ class StreamPipeline {
     bool abandoned = false;
   };
 
+  /// The detection phase's output for one batch (stream_pipeline.cc).
+  struct Detection;
+
+  static Detection IndexDistinctTexts(
+      const std::vector<data::TimedDocument>& documents);
+  void DetectRange(Detection* detection, size_t begin, size_t end) const;
   std::vector<BlockResult> RunDocument(const data::TimedDocument& document,
-                                       StreamStats* stats) const;
+                                       const Detection& detection,
+                                       size_t index, StreamStats* stats) const;
   void ApplyDocument(const data::TimedDocument& document,
                      std::vector<BlockResult>& results, StreamStats* stats);
   void PublishGauges();
@@ -130,6 +151,7 @@ class StreamPipeline {
   obs::Gauge* unknown_kind_rate_gauge_ = nullptr;
   obs::Gauge* docs_in_flight_gauge_ = nullptr;
   obs::Counter* documents_counter_ = nullptr;
+  obs::Counter* detections_counter_ = nullptr;
   obs::Counter* objectives_counter_ = nullptr;
   obs::Counter* abandoned_counter_ = nullptr;
 };

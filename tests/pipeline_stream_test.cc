@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,6 +42,69 @@ std::vector<std::string> ExportKinds() {
           core::kVersionField, kStatusField, kSdgField};
 }
 
+/// The small stream with report boilerplate repeated verbatim: every
+/// document opens and closes with the same disclaimer and states the same
+/// standing objective twice, so texts repeat inside one document and
+/// across documents.
+std::vector<data::TimedDocument> FeedWithRepeats() {
+  std::vector<data::TimedDocument> documents =
+      data::GenerateReportStream(SmallStreamConfig());
+  const std::string disclaimer =
+      "This report contains forward-looking statements.";
+  const std::string standing =
+      "We will reduce packaging waste by 15% by 2028.";
+  for (data::TimedDocument& document : documents) {
+    std::vector<data::ReportBlock>& blocks = document.report.blocks;
+    data::ReportBlock block;
+    block.page = 1;
+    block.text = disclaimer;
+    blocks.insert(blocks.begin(), block);
+    blocks.push_back(block);
+    block.is_objective = true;
+    block.text = standing;
+    blocks.insert(blocks.begin() + 1, block);
+    blocks.push_back(block);
+  }
+  return documents;
+}
+
+/// Heuristic stages whose detector counts its calls per text. The
+/// detector holds `this`; the mutex member makes the struct non-copyable.
+struct CountingStages {
+  std::mutex mu;
+  std::map<std::string, int> calls;
+  StreamStages stages = HeuristicStages();
+
+  CountingStages() {
+    auto detect = stages.is_objective;
+    stages.is_objective = [this, detect](const std::string& text) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++calls[text];
+      }
+      return detect(text);
+    };
+  }
+
+  int total() {
+    std::lock_guard<std::mutex> lock(mu);
+    int sum = 0;
+    for (const auto& [text, count] : calls) sum += count;
+    return sum;
+  }
+};
+
+std::set<std::string> DistinctTexts(
+    const std::vector<data::TimedDocument>& documents) {
+  std::set<std::string> texts;
+  for (const data::TimedDocument& document : documents) {
+    for (const data::ReportBlock& block : document.report.blocks) {
+      texts.insert(block.text);
+    }
+  }
+  return texts;
+}
+
 TEST(ReportStreamTest, DeterministicAndTruthConsistent) {
   data::StreamTruth truth_a;
   data::StreamTruth truth_b;
@@ -58,7 +122,9 @@ TEST(ReportStreamTest, DeterministicAndTruthConsistent) {
   // Sequences are the global arrival order.
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].sequence, static_cast<int64_t>(i));
-    if (i > 0) EXPECT_GT(a[i].timestamp_ms, a[i - 1].timestamp_ms);
+    if (i > 0) {
+      EXPECT_GT(a[i].timestamp_ms, a[i - 1].timestamp_ms);
+    }
   }
   // Version math: every publication of a target is one version.
   int published = 0;
@@ -382,6 +448,91 @@ TEST(StreamPipelineTest, DetectionStageFiltersNoise) {
   EXPECT_LE(detected_stats.objectives, trusted_stats.blocks);
   // Detection keeps at least 80% of true objectives on in-domain text.
   EXPECT_GE(detected_stats.objectives * 10, trusted_stats.objectives * 8);
+}
+
+TEST(StreamPipelineTest, DetectorRunsOncePerDistinctTextPerBatch) {
+  const std::vector<data::TimedDocument> documents = FeedWithRepeats();
+  const std::set<std::string> distinct = DistinctTexts(documents);
+  size_t blocks = 0;
+  std::set<std::string> in_first_document;
+  for (const data::ReportBlock& block : documents[0].report.blocks) {
+    ++blocks;
+    in_first_document.insert(block.text);
+  }
+  ASSERT_LT(in_first_document.size(), blocks) << "no repeat in a document";
+  for (size_t d = 1; d < documents.size(); ++d) {
+    blocks += documents[d].report.blocks.size();
+  }
+  ASSERT_LT(distinct.size(), blocks);
+
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "workers = 4" : "serial");
+    CountingStages counting;
+    core::ObjectiveDatabase db(4, StreamDbOptions());
+    StreamPipelineOptions options;
+    options.parallel = parallel;
+    options.workers = parallel ? 4 : 0;
+    options.trust_feed_labels = false;
+    StreamPipeline pipeline(&db, counting.stages, options);
+
+    StreamStats first = pipeline.Process(documents);
+    EXPECT_EQ(first.blocks, static_cast<int64_t>(blocks));
+    EXPECT_EQ(first.detections, static_cast<int64_t>(distinct.size()));
+    EXPECT_EQ(counting.total(), static_cast<int>(distinct.size()));
+    for (const std::string& text : distinct) {
+      EXPECT_EQ(counting.calls[text], 1) << text;
+    }
+
+    // No answer is carried into the next batch.
+    StreamStats second = pipeline.Process(documents);
+    EXPECT_EQ(second.detections, first.detections);
+    EXPECT_EQ(pipeline.totals().detections, 2 * first.detections);
+    for (const std::string& text : distinct) {
+      EXPECT_EQ(counting.calls[text], 2) << text;
+    }
+  }
+
+  // Trusted feed labels never reach the detector.
+  CountingStages counting;
+  core::ObjectiveDatabase db(4, StreamDbOptions());
+  StreamPipelineOptions options;
+  options.parallel = false;
+  options.trust_feed_labels = true;
+  StreamPipeline pipeline(&db, counting.stages, options);
+  StreamStats stats = pipeline.Process(documents);
+  EXPECT_GT(stats.objectives, 0);
+  EXPECT_EQ(stats.detections, 0);
+  EXPECT_EQ(counting.total(), 0);
+}
+
+TEST(StreamPipelineTest, BatchDetectionMatchesPerBlockDetection) {
+  const std::vector<data::TimedDocument> documents = FeedWithRepeats();
+  auto ingest = [](const std::vector<data::TimedDocument>& feed,
+                   bool parallel, bool trust_feed_labels) {
+    core::ObjectiveDatabase db(4, StreamDbOptions());
+    StreamPipelineOptions options;
+    options.parallel = parallel;
+    options.workers = parallel ? 4 : 0;
+    options.trust_feed_labels = trust_feed_labels;
+    StreamPipeline pipeline(&db, HeuristicStages(), options);
+    pipeline.Process(feed);
+    return db.ExportCsv(ExportKinds());
+  };
+  const std::string serial = ingest(documents, false, false);
+  EXPECT_EQ(ingest(documents, true, false), serial);
+
+  // The same stage called on every block, its answers fed in as labels.
+  std::vector<data::TimedDocument> labeled = documents;
+  const StreamStages stages = HeuristicStages();
+  int detected = 0;
+  for (data::TimedDocument& document : labeled) {
+    for (data::ReportBlock& block : document.report.blocks) {
+      block.is_objective = stages.is_objective(block.text);
+      detected += block.is_objective ? 1 : 0;
+    }
+  }
+  ASSERT_GT(detected, 0);
+  EXPECT_EQ(ingest(labeled, false, true), serial);
 }
 
 TEST(StreamPipelineTest, StreamSurvivesDatabaseReopen) {

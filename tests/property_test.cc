@@ -122,7 +122,9 @@ TEST_P(SeededProperty, BpeConcatenationAndVocabRoundTrip) {
         EXPECT_EQ(model.vocab().GetToken(sw.id), sw.text);
       }
     }
-    if (!current.empty()) EXPECT_EQ(current, words[word_index]);
+    if (!current.empty()) {
+      EXPECT_EQ(current, words[word_index]);
+    }
   }
 }
 
