@@ -103,6 +103,23 @@ std::string WalFileName(size_t shard_index) {
   return "wal-" + std::to_string(shard_index) + ".log";
 }
 
+/// Writes `segment` as `dir`/`name` (temp file + fsync + rename, the
+/// segment half of the seal protocol) and returns its manifest entry.
+StatusOr<storage::ManifestSegment> WriteSegmentFile(
+    storage::Env* env, const std::string& dir, const std::string& name,
+    size_t shard, const storage::GrowingSegment& segment) {
+  const std::string path = dir + "/" + name;
+  GOALEX_RETURN_IF_ERROR(segment.WriteTo(env, path + ".tmp"));
+  GOALEX_RETURN_IF_ERROR(env->Rename(path + ".tmp", path));
+  storage::ManifestSegment entry;
+  entry.shard = static_cast<int>(shard);
+  entry.file = name;
+  entry.rows = segment.num_rows();
+  entry.min_row_id = segment.min_row_id();
+  entry.max_row_id = segment.max_row_id();
+  return entry;
+}
+
 /// The WAL framing overhead per record: [u32 crc][u32 len].
 constexpr uint64_t kWalRecordHeaderBytes = 8;
 
@@ -196,6 +213,26 @@ std::vector<T> IntersectSorted(const std::vector<T>& a,
   return out;
 }
 
+/// True when `row_id` is masked by a newer version of its objective.
+bool Masked(const std::unordered_map<int64_t, DbRow>& superseded,
+            int64_t row_id) {
+  return !superseded.empty() && superseded.count(row_id) > 0;
+}
+
+/// Materializes the rows of `postings` from `segment` (sealed or growing)
+/// into `out`, skipping rows masked by `superseded`.
+template <typename Segment>
+void CollectRows(const Segment& segment, const storage::PostingsView& postings,
+                 const std::unordered_map<int64_t, DbRow>& superseded,
+                 std::vector<DbRow>* out) {
+  for (size_t i = 0; i < postings.size(); ++i) {
+    DbRow row;
+    if (!segment.ReadRow(postings.At(i), &row)) continue;
+    if (Masked(superseded, row.row_id)) continue;
+    out->push_back(std::move(row));
+  }
+}
+
 /// Year bounds for a deadline filter, clamped to values YearKey encodes
 /// losslessly (NormalizeYear never leaves this range).
 constexpr int kMinFilterYear = -1000000;
@@ -258,16 +295,6 @@ std::string ObjectiveUpsertKey(const std::string& company,
   return key;
 }
 
-void ObjectiveDatabase::Growing::Clear() {
-  rows.clear();
-  by_company.clear();
-  by_field.clear();
-  by_field_value.clear();
-  by_deadline_year.clear();
-  by_term.clear();
-  field_count_by_company.clear();
-}
-
 ObjectiveDatabase::ObjectiveDatabase(int num_shards, DbOptions options)
     : options_(options),
       env_(options.env != nullptr ? options.env : storage::Env::Default()) {
@@ -320,162 +347,20 @@ size_t ObjectiveDatabase::ShardIndexFor(const std::string& company) const {
   return std::hash<std::string>{}(company) % shards_.size();
 }
 
-namespace {
-
-/// Inserts `ordinal` into a sorted posting vector. Appends are O(1) past
-/// the lower_bound probe (the common Insert path passes the largest
-/// ordinal); in-place updates land mid-vector.
-void InsertOrdinal(std::vector<size_t>& postings, size_t ordinal) {
-  auto it = std::lower_bound(postings.begin(), postings.end(), ordinal);
-  if (it != postings.end() && *it == ordinal) return;
-  postings.insert(it, ordinal);
-}
-
-/// Removes `ordinal` from a sorted posting vector; returns true when the
-/// vector emptied out (the caller should erase the index entry).
-bool EraseOrdinal(std::vector<size_t>& postings, size_t ordinal) {
-  auto it = std::lower_bound(postings.begin(), postings.end(), ordinal);
-  if (it != postings.end() && *it == ordinal) postings.erase(it);
-  return postings.empty();
-}
-
-/// The distinct text-index terms of a row — the same set SegmentBuilder
-/// freezes at seal time.
-std::set<std::string> RowTerms(const DbRow& row) {
-  std::set<std::string> terms;
-  for (std::string& term :
-       storage::TextIndexTerms(row.record.objective_text)) {
-    terms.insert(std::move(term));
-  }
-  for (const auto& [kind, value] : row.record.fields) {
-    if (value.empty()) continue;
-    for (std::string& term : storage::TextIndexTerms(value)) {
-      terms.insert(std::move(term));
+std::optional<DbRow> ObjectiveDatabase::ReadRowLocked(const Shard& shard,
+                                                     int64_t row_id) {
+  std::optional<DbRow> found;
+  ForEachSegment(shard, [&](const auto& segment) {
+    if (found.has_value() || row_id < segment.min_row_id() ||
+        row_id > segment.max_row_id()) {
+      return;
     }
-  }
-  return terms;
-}
-
-}  // namespace
-
-void ObjectiveDatabase::IndexGrowingRowLocked(Growing& growing,
-                                              const DbRow& row,
-                                              size_t ordinal) {
-  InsertOrdinal(growing.by_company[row.company], ordinal);
-  for (const auto& [kind, value] : row.record.fields) {
-    if (value.empty()) continue;
-    InsertOrdinal(growing.by_field[kind], ordinal);
-    InsertOrdinal(growing.by_field_value[kind][value], ordinal);
-    ++growing.field_count_by_company[row.company][kind];
-  }
-  if (std::optional<int> year = storage::DeadlineYearOfRecord(row.record)) {
-    InsertOrdinal(growing.by_deadline_year[*year], ordinal);
-  }
-  for (const std::string& term : RowTerms(row)) {
-    InsertOrdinal(growing.by_term[term], ordinal);
-  }
-}
-
-void ObjectiveDatabase::DeindexGrowingRowLocked(Growing& growing,
-                                                const DbRow& row,
-                                                size_t ordinal) {
-  auto company_it = growing.by_company.find(row.company);
-  if (company_it != growing.by_company.end() &&
-      EraseOrdinal(company_it->second, ordinal)) {
-    growing.by_company.erase(company_it);
-  }
-  for (const auto& [kind, value] : row.record.fields) {
-    if (value.empty()) continue;
-    auto field_it = growing.by_field.find(kind);
-    if (field_it != growing.by_field.end() &&
-        EraseOrdinal(field_it->second, ordinal)) {
-      growing.by_field.erase(field_it);
-    }
-    auto kind_it = growing.by_field_value.find(kind);
-    if (kind_it != growing.by_field_value.end()) {
-      auto value_it = kind_it->second.find(value);
-      if (value_it != kind_it->second.end() &&
-          EraseOrdinal(value_it->second, ordinal)) {
-        kind_it->second.erase(value_it);
-      }
-      if (kind_it->second.empty()) growing.by_field_value.erase(kind_it);
-    }
-    auto counts_it = growing.field_count_by_company.find(row.company);
-    if (counts_it != growing.field_count_by_company.end()) {
-      auto count_it = counts_it->second.find(kind);
-      if (count_it != counts_it->second.end() && --count_it->second <= 0) {
-        counts_it->second.erase(count_it);
-      }
-      if (counts_it->second.empty()) {
-        growing.field_count_by_company.erase(counts_it);
-      }
-    }
-  }
-  if (std::optional<int> year = storage::DeadlineYearOfRecord(row.record)) {
-    auto year_it = growing.by_deadline_year.find(*year);
-    if (year_it != growing.by_deadline_year.end() &&
-        EraseOrdinal(year_it->second, ordinal)) {
-      growing.by_deadline_year.erase(year_it);
-    }
-  }
-  for (const std::string& term : RowTerms(row)) {
-    auto term_it = growing.by_term.find(term);
-    if (term_it != growing.by_term.end() &&
-        EraseOrdinal(term_it->second, ordinal)) {
-      growing.by_term.erase(term_it);
-    }
-  }
-}
-
-void ObjectiveDatabase::ReplaceGrowingLocked(Shard& shard, size_t ordinal,
-                                             DbRow row) {
-  DbRow& slot = shard.growing.rows[ordinal];
-  DeindexGrowingRowLocked(shard.growing, slot, ordinal);
-  slot = std::move(row);
-  IndexGrowingRowLocked(shard.growing, slot, ordinal);
-}
-
-std::optional<size_t> ObjectiveDatabase::FindGrowingOrdinalLocked(
-    const Shard& shard, int64_t row_id) {
-  const std::deque<DbRow>& rows = shard.growing.rows;
-  auto it = std::lower_bound(
-      rows.begin(), rows.end(), row_id,
-      [](const DbRow& row, int64_t id) { return row.row_id < id; });
-  if (it == rows.end() || it->row_id != row_id) return std::nullopt;
-  return static_cast<size_t>(it - rows.begin());
-}
-
-std::optional<DbRow> ObjectiveDatabase::ReadSealedRowLocked(
-    const Shard& shard, int64_t row_id) {
-  for (const auto& segment : shard.sealed) {
-    if (row_id < segment->min_row_id() || row_id > segment->max_row_id()) {
-      continue;
-    }
-    if (std::optional<uint64_t> ordinal = segment->FindRowId(row_id)) {
+    if (std::optional<uint64_t> ordinal = segment.FindRowId(row_id)) {
       DbRow row;
-      if (segment->ReadRow(*ordinal, &row)) return row;
+      if (segment.ReadRow(*ordinal, &row)) found = std::move(row);
     }
-  }
-  return std::nullopt;
-}
-
-void ObjectiveDatabase::AppendGrowingLocked(Shard& shard, DbRow row) {
-  IndexGrowingRowLocked(shard.growing, row, shard.growing.rows.size());
-  shard.growing.rows.push_back(std::move(row));
-}
-
-void ObjectiveDatabase::RebuildGrowingLocked(Shard& shard) {
-  Growing& growing = shard.growing;
-  growing.by_company.clear();
-  growing.by_field.clear();
-  growing.by_field_value.clear();
-  growing.by_deadline_year.clear();
-  growing.by_term.clear();
-  growing.field_count_by_company.clear();
-  size_t ordinal = 0;
-  for (const DbRow& row : growing.rows) {
-    IndexGrowingRowLocked(growing, row, ordinal++);
-  }
+  });
+  return found;
 }
 
 void ObjectiveDatabase::LogRowLocked(Shard& shard, const DbRow& row) {
@@ -516,11 +401,11 @@ int64_t ObjectiveDatabase::Insert(const data::DetailRecord& record,
       // coherent for later Upserts: the newest row wins the key.
       shard.latest_by_key[ObjectiveUpsertKey(company, record)] = id;
     }
-    AppendGrowingLocked(shard, std::move(row));
+    shard.growing.Append(std::move(row));
     want_seal =
         attached_.load(std::memory_order_acquire) &&
         options_.seal_threshold > 0 &&
-        shard.growing.rows.size() >=
+        shard.growing.num_rows() >=
             static_cast<size_t>(options_.seal_threshold);
   }
   size_t total = size_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -568,24 +453,24 @@ UpsertResult ObjectiveDatabase::Upsert(const data::DetailRecord& record,
       result.inserted = true;
       DbRow row = make_row(result.row_id, 1);
       LogRowLocked(shard, row);
-      AppendGrowingLocked(shard, std::move(row));
+      shard.growing.Append(std::move(row));
       shard.latest_by_key.emplace(std::move(key), result.row_id);
       appended_row = true;
     } else {
       int64_t live_id = key_it->second;
-      bool live_in_growing = live_id > shard.max_sealed_id;
-      std::optional<size_t> ordinal;
-      std::optional<DbRow> old;
-      if (live_in_growing) {
-        ordinal = FindGrowingOrdinalLocked(shard, live_id);
-        GOALEX_CHECK_MSG(ordinal.has_value(),
-                         "live row " << live_id << " missing from growing");
-        old = shard.growing.rows[*ordinal];
-      } else {
-        old = ReadSealedRowLocked(shard, live_id);
-        GOALEX_CHECK_MSG(old.has_value(),
+      // Only a growing row is updated in place. Rows of a frozen segment
+      // are immutable like sealed ones: the seal in flight is writing them
+      // out as they stand, so an in-place update there would be lost when
+      // the sealed file replaces them.
+      std::optional<uint64_t> ordinal = shard.growing.FindRowId(live_id);
+      std::optional<DbRow> immutable;
+      if (!ordinal.has_value()) {
+        immutable = ReadRowLocked(shard, live_id);
+        GOALEX_CHECK_MSG(immutable.has_value(),
                          "live row " << live_id << " missing from segments");
       }
+      const DbRow* old =
+          ordinal.has_value() ? &shard.growing.row(*ordinal) : &*immutable;
       int32_t old_version = RecordVersion(old->record);
       const int64_t live_sequence = RecordSequence(old->record);
       if (source_sequence >= 0 && live_sequence >= 0 &&
@@ -606,22 +491,22 @@ UpsertResult ObjectiveDatabase::Upsert(const data::DetailRecord& record,
           result.version = old_version + 1;
           result.updated = true;
           SetRecordVersion(&fresh.record, result.version);
-          if (live_in_growing) {
+          if (ordinal.has_value()) {
             // Update in place: same row id, WAL re-logs it (replay
             // replaces the original record by id).
             result.row_id = live_id;
             LogRowLocked(shard, fresh);
-            ReplaceGrowingLocked(shard, *ordinal, std::move(fresh));
+            shard.growing.Replace(static_cast<uint32_t>(*ordinal),
+                                  std::move(fresh));
           } else {
-            // The live row is frozen in a sealed segment. New versions
-            // must keep growing ids above max_sealed_id, so the update
-            // becomes a fresh row and the sealed one is masked via the
-            // overlay.
+            // The live row is sealed or frozen. New versions must keep
+            // growing ids above every immutable row, so the update becomes
+            // a fresh row and the old one is masked via the overlay.
             result.row_id = next_id_.fetch_add(1, std::memory_order_relaxed);
             fresh.row_id = result.row_id;
             LogRowLocked(shard, fresh);
-            AppendGrowingLocked(shard, std::move(fresh));
-            shard.superseded.emplace(live_id, std::move(*old));
+            shard.growing.Append(std::move(fresh));
+            shard.superseded.emplace(live_id, std::move(*immutable));
             superseded_count_.fetch_add(1, std::memory_order_acq_rel);
             key_it->second = result.row_id;
             appended_row = true;
@@ -632,7 +517,7 @@ UpsertResult ObjectiveDatabase::Upsert(const data::DetailRecord& record,
     want_seal =
         appended_row && attached_.load(std::memory_order_acquire) &&
         options_.seal_threshold > 0 &&
-        shard.growing.rows.size() >=
+        shard.growing.num_rows() >=
             static_cast<size_t>(options_.seal_threshold);
   }
   if (appended_row) {
@@ -671,8 +556,9 @@ std::vector<size_t> ObjectiveDatabase::RowsPerShard() const {
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    size_t rows = shard->growing.rows.size();
-    for (const auto& segment : shard->sealed) rows += segment->num_rows();
+    size_t rows = 0;
+    ForEachSegment(*shard,
+                   [&](const auto& segment) { rows += segment.num_rows(); });
     out.push_back(rows);
   }
   return out;
@@ -696,50 +582,9 @@ std::optional<DbRow> ObjectiveDatabase::Get(int64_t row_id) const {
   obs::ScopedTimer timer(QueryHistogram());
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      if (row_id < segment->min_row_id() || row_id > segment->max_row_id()) {
-        continue;
-      }
-      if (std::optional<uint64_t> ordinal = segment->FindRowId(row_id)) {
-        DbRow row;
-        if (segment->ReadRow(*ordinal, &row)) return row;
-      }
-    }
-    const std::deque<DbRow>& rows = shard->growing.rows;
-    auto it = std::lower_bound(
-        rows.begin(), rows.end(), row_id,
-        [](const DbRow& row, int64_t id) { return row.row_id < id; });
-    if (it != rows.end() && it->row_id == row_id) return *it;
+    if (std::optional<DbRow> row = ReadRowLocked(*shard, row_id)) return row;
   }
   return std::nullopt;
-}
-
-void ObjectiveDatabase::CollectGrowing(const Shard& shard,
-                                       const std::vector<size_t>& ordinals,
-                                       std::vector<DbRow>* out) {
-  for (size_t ordinal : ordinals) {
-    const DbRow& row = shard.growing.rows[ordinal];
-    if (!shard.superseded.empty() &&
-        shard.superseded.count(row.row_id) > 0) {
-      continue;
-    }
-    out->push_back(row);
-  }
-}
-
-void ObjectiveDatabase::CollectSealed(const Shard& shard,
-                                      const storage::SealedSegment& segment,
-                                      const storage::PostingsView& postings,
-                                      std::vector<DbRow>* out) {
-  for (size_t i = 0; i < postings.size(); ++i) {
-    DbRow row;
-    if (!segment.ReadRow(postings.At(i), &row)) continue;
-    if (!shard.superseded.empty() &&
-        shard.superseded.count(row.row_id) > 0) {
-      continue;
-    }
-    out->push_back(std::move(row));
-  }
 }
 
 std::vector<DbRow> ObjectiveDatabase::ByCompany(
@@ -748,16 +593,12 @@ std::vector<DbRow> ObjectiveDatabase::ByCompany(
   std::vector<DbRow> out;
   const Shard& shard = *shards_[ShardIndexFor(company)];
   std::shared_lock lock(shard.mu);
-  for (const auto& segment : shard.sealed) {
-    CollectSealed(shard, *segment,
-                  segment->Postings(storage::SegmentIndex::kCompany, company),
-                  &out);
-  }
-  auto it = shard.growing.by_company.find(company);
-  if (it != shard.growing.by_company.end()) {
-    CollectGrowing(shard, it->second, &out);
-  }
-  return out;  // Sealed segments then growing is ascending row id.
+  ForEachSegment(shard, [&](const auto& segment) {
+    CollectRows(segment,
+                segment.Postings(storage::SegmentIndex::kCompany, company),
+                shard.superseded, &out);
+  });
+  return out;  // Segments in row-id order, so ascending row id.
 }
 
 std::vector<DbRow> ObjectiveDatabase::WithField(
@@ -766,15 +607,11 @@ std::vector<DbRow> ObjectiveDatabase::WithField(
   std::vector<DbRow> out;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      CollectSealed(*shard, *segment,
-                    segment->Postings(storage::SegmentIndex::kFieldKind, kind),
-                    &out);
-    }
-    auto it = shard->growing.by_field.find(kind);
-    if (it != shard->growing.by_field.end()) {
-      CollectGrowing(*shard, it->second, &out);
-    }
+    ForEachSegment(*shard, [&](const auto& segment) {
+      CollectRows(segment,
+                  segment.Postings(storage::SegmentIndex::kFieldKind, kind),
+                  shard->superseded, &out);
+    });
   }
   SortByRowId(&out);
   return out;
@@ -787,16 +624,11 @@ std::vector<DbRow> ObjectiveDatabase::WhereFieldEquals(
   std::string key = storage::FieldValueKey(kind, value);
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      CollectSealed(*shard, *segment,
-                    segment->Postings(storage::SegmentIndex::kFieldValue, key),
-                    &out);
-    }
-    auto kind_it = shard->growing.by_field_value.find(kind);
-    if (kind_it == shard->growing.by_field_value.end()) continue;
-    auto value_it = kind_it->second.find(value);
-    if (value_it == kind_it->second.end()) continue;
-    CollectGrowing(*shard, value_it->second, &out);
+    ForEachSegment(*shard, [&](const auto& segment) {
+      CollectRows(segment,
+                  segment.Postings(storage::SegmentIndex::kFieldValue, key),
+                  shard->superseded, &out);
+    });
   }
   SortByRowId(&out);
   return out;
@@ -812,17 +644,12 @@ std::vector<DbRow> ObjectiveDatabase::DeadlineYearBetween(
   std::vector<DbRow> out;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      segment->ForEachYearInRange(
+    ForEachSegment(*shard, [&](const auto& segment) {
+      segment.ForEachYearInRange(
           min_year, max_year, [&](const storage::PostingsView& postings) {
-            CollectSealed(*shard, *segment, postings, &out);
+            CollectRows(segment, postings, shard->superseded, &out);
           });
-    }
-    const auto& by_year = shard->growing.by_deadline_year;
-    for (auto it = by_year.lower_bound(min_year);
-         it != by_year.end() && it->first <= max_year; ++it) {
-      CollectGrowing(*shard, it->second, &out);
-    }
+    });
   }
   SortByRowId(&out);
   return out;
@@ -841,8 +668,7 @@ std::vector<DbRow> ObjectiveDatabase::QueryText(
   int min_year = filter.min_deadline_year.value_or(kMinFilterYear);
   int max_year = filter.max_deadline_year.value_or(kMaxFilterYear);
 
-  auto eval_segment = [&](const Shard& shard,
-                          const storage::SealedSegment& segment) {
+  auto eval_segment = [&](const Shard& shard, const auto& segment) {
     // Gather every posting list the row must appear in; any empty list
     // rules the whole segment out.
     std::vector<storage::PostingsView> views;
@@ -897,76 +723,17 @@ std::vector<DbRow> ObjectiveDatabase::QueryText(
     for (uint32_t ordinal : candidates) {
       DbRow row;
       if (!segment.ReadRow(ordinal, &row)) continue;
-      if (!shard.superseded.empty() &&
-          shard.superseded.count(row.row_id) > 0) {
-        continue;
-      }
+      if (Masked(shard.superseded, row.row_id)) continue;
       if (!RowMatchesPhrases(row, parsed.phrases)) continue;
       out.push_back(std::move(row));
     }
   };
 
-  auto eval_growing = [&](const Shard& shard) {
-    const Growing& growing = shard.growing;
-    if (growing.rows.empty()) return;
-    std::vector<const std::vector<size_t>*> lists;
-    for (const std::string& term : parsed.terms) {
-      auto it = growing.by_term.find(term);
-      if (it == growing.by_term.end()) return;
-      lists.push_back(&it->second);
-    }
-    if (!filter.company.empty()) {
-      auto it = growing.by_company.find(filter.company);
-      if (it == growing.by_company.end()) return;
-      lists.push_back(&it->second);
-    }
-    if (!filter.with_field.empty()) {
-      auto it = growing.by_field.find(filter.with_field);
-      if (it == growing.by_field.end()) return;
-      lists.push_back(&it->second);
-    }
-    std::vector<size_t> year_rows;
-    if (use_year) {
-      for (auto it = growing.by_deadline_year.lower_bound(min_year);
-           it != growing.by_deadline_year.end() && it->first <= max_year;
-           ++it) {
-        year_rows.insert(year_rows.end(), it->second.begin(),
-                         it->second.end());
-      }
-      std::sort(year_rows.begin(), year_rows.end());
-      if (year_rows.empty()) return;
-    }
-    std::vector<size_t> candidates;
-    if (!lists.empty()) {
-      size_t smallest = 0;
-      for (size_t i = 1; i < lists.size(); ++i) {
-        if (lists[i]->size() < lists[smallest]->size()) smallest = i;
-      }
-      candidates = *lists[smallest];
-      for (size_t i = 0; i < lists.size(); ++i) {
-        if (i == smallest) continue;
-        candidates = IntersectSorted(candidates, *lists[i]);
-        if (candidates.empty()) return;
-      }
-      if (use_year) candidates = IntersectSorted(candidates, year_rows);
-    } else {
-      candidates = std::move(year_rows);
-    }
-    for (size_t ordinal : candidates) {
-      const DbRow& row = growing.rows[ordinal];
-      if (!shard.superseded.empty() &&
-          shard.superseded.count(row.row_id) > 0) {
-        continue;
-      }
-      if (!RowMatchesPhrases(row, parsed.phrases)) continue;
-      out.push_back(row);
-    }
-  };
-
   auto visit_shard = [&](const Shard& shard) {
     std::shared_lock lock(shard.mu);
-    for (const auto& segment : shard.sealed) eval_segment(shard, *segment);
-    eval_growing(shard);
+    ForEachSegment(shard, [&](const auto& segment) {
+      eval_segment(shard, segment);
+    });
   };
 
   if (!filter.company.empty()) {
@@ -984,14 +751,11 @@ std::vector<std::string> ObjectiveDatabase::Companies() const {
   std::set<std::string> names;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      segment->ForEachKey(
+    ForEachSegment(*shard, [&](const auto& segment) {
+      segment.ForEachKey(
           storage::SegmentIndex::kCompany,
           [&](std::string_view name) { names.insert(std::string(name)); });
-    }
-    for (const auto& [company, ordinals] : shard->growing.by_company) {
-      names.insert(company);
-    }
+    });
   }
   return std::vector<std::string>(names.begin(), names.end());
 }
@@ -1001,18 +765,14 @@ std::map<std::string, int64_t> ObjectiveDatabase::CountPerCompany() const {
   std::map<std::string, int64_t> out;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      for (const auto& [company, count] : segment->company_rows()) {
+    ForEachSegment(*shard, [&](const auto& segment) {
+      for (const auto& [company, count] : segment.company_rows()) {
         out[company] += count;
       }
-    }
-    for (const auto& [company, ordinals] : shard->growing.by_company) {
-      out[company] += static_cast<int64_t>(ordinals.size());
-    }
-    // The sealed per-company counts (and the growing index, for stale
-    // duplicates found on load) include rows masked by a newer version;
-    // subtract their stored copies. The overlay is small — a handful of
-    // restated objectives, not a row scan.
+    });
+    // The per-company counts of every segment include rows masked by a
+    // newer version; subtract their stored copies. The overlay is small —
+    // a handful of restated objectives, not a row scan.
     for (const auto& [row_id, row] : shard->superseded) {
       auto it = out.find(row.company);
       if (it != out.end() && --it->second <= 0) out.erase(it);
@@ -1028,27 +788,16 @@ std::map<std::string, double> ObjectiveDatabase::FieldCoverageByCompany(
   std::map<std::string, int64_t> with_field;
   for (const auto& shard : shards_) {
     std::shared_lock lock(shard->mu);
-    for (const auto& segment : shard->sealed) {
-      for (const auto& [company, count] : segment->company_rows()) {
+    ForEachSegment(*shard, [&](const auto& segment) {
+      for (const auto& [company, count] : segment.company_rows()) {
         totals[company] += count;
-        auto it =
-            segment->company_kind_rows().find(storage::FieldValueKey(company,
-                                                                     kind));
-        if (it != segment->company_kind_rows().end()) {
+        auto it = segment.company_kind_rows().find(
+            storage::FieldValueKey(company, kind));
+        if (it != segment.company_kind_rows().end()) {
           with_field[company] += it->second;
         }
       }
-    }
-    for (const auto& [company, ordinals] : shard->growing.by_company) {
-      totals[company] += static_cast<int64_t>(ordinals.size());
-      auto company_it = shard->growing.field_count_by_company.find(company);
-      if (company_it != shard->growing.field_count_by_company.end()) {
-        auto kind_it = company_it->second.find(kind);
-        if (kind_it != company_it->second.end()) {
-          with_field[company] += kind_it->second;
-        }
-      }
-    }
+    });
     // Subtract rows masked by a newer version (see CountPerCompany).
     for (const auto& [row_id, row] : shard->superseded) {
       auto total_it = totals.find(row.company);
@@ -1078,20 +827,14 @@ std::vector<DbRow> ObjectiveDatabase::CollectShardRows(
     const Shard& shard) const {
   std::shared_lock lock(shard.mu);
   std::vector<DbRow> rows;
-  auto masked = [&shard](int64_t row_id) {
-    return !shard.superseded.empty() && shard.superseded.count(row_id) > 0;
-  };
-  for (const auto& segment : shard.sealed) {
-    for (uint64_t ordinal = 0; ordinal < segment->num_rows(); ++ordinal) {
+  ForEachSegment(shard, [&](const auto& segment) {
+    for (uint64_t ordinal = 0; ordinal < segment.num_rows(); ++ordinal) {
       DbRow row;
-      if (!segment->ReadRow(ordinal, &row)) continue;
-      if (masked(row.row_id)) continue;
+      if (!segment.ReadRow(ordinal, &row)) continue;
+      if (Masked(shard.superseded, row.row_id)) continue;
       rows.push_back(std::move(row));
     }
-  }
-  for (const DbRow& row : shard.growing.rows) {
-    if (!masked(row.row_id)) rows.push_back(row);
-  }
+  });
   return rows;
 }
 
@@ -1142,21 +885,15 @@ Status ObjectiveDatabase::Save(const std::string& dir) const {
   manifest.num_shards = num_shards();
   uint64_t sequence = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::vector<DbRow> rows = CollectShardRows(*shards_[i]);
-    if (rows.empty()) continue;
-    storage::SegmentBuilder builder;
-    for (const DbRow& row : rows) builder.Add(row);
-    std::string name = SegmentFileName(i, sequence++);
-    std::string path = dir + "/" + name;
-    GOALEX_RETURN_IF_ERROR(builder.WriteTo(env_, path + ".tmp"));
-    GOALEX_RETURN_IF_ERROR(env_->Rename(path + ".tmp", path));
-    storage::ManifestSegment entry;
-    entry.shard = static_cast<int>(i);
-    entry.file = name;
-    entry.rows = rows.size();
-    entry.min_row_id = rows.front().row_id;
-    entry.max_row_id = rows.back().row_id;
-    manifest.segments.push_back(std::move(entry));
+    storage::GrowingSegment segment;
+    for (DbRow& row : CollectShardRows(*shards_[i])) {
+      segment.Append(std::move(row));
+    }
+    if (segment.empty()) continue;
+    StatusOr<storage::ManifestSegment> entry = WriteSegmentFile(
+        env_, dir, SegmentFileName(i, sequence++), i, segment);
+    if (!entry.ok()) return entry.status();
+    manifest.segments.push_back(std::move(entry).value());
   }
   manifest.next_segment = sequence;
   GOALEX_RETURN_IF_ERROR(storage::WriteManifest(env_, dir, manifest));
@@ -1243,7 +980,7 @@ Status ObjectiveDatabase::LoadLegacyFile(const std::string& path) {
   for (DbRow& row : rows) {
     Shard& shard = *shards_[ShardIndexFor(row.company)];
     std::unique_lock lock(shard.mu);
-    AppendGrowingLocked(shard, std::move(row));
+    shard.growing.Append(std::move(row));
   }
   size_.store(rows.size(), std::memory_order_release);
   next_id_.store(max_id + 1, std::memory_order_relaxed);
@@ -1282,13 +1019,12 @@ void ObjectiveDatabase::BuildUpsertState() {
         shard.superseded.emplace(row.row_id, std::move(row));
       }
     };
-    for (const auto& segment : shard.sealed) {
-      for (uint64_t ordinal = 0; ordinal < segment->num_rows(); ++ordinal) {
+    ForEachSegment(shard, [&](const auto& segment) {
+      for (uint64_t ordinal = 0; ordinal < segment.num_rows(); ++ordinal) {
         DbRow row;
-        if (segment->ReadRow(ordinal, &row)) offer(std::move(row));
+        if (segment.ReadRow(ordinal, &row)) offer(std::move(row));
       }
-    }
-    for (const DbRow& row : shard.growing.rows) offer(row);
+    });
     shard.latest_by_key.reserve(winners.size());
     for (const auto& [key, row] : winners) {
       shard.latest_by_key.emplace(key, row.row_id);
@@ -1355,24 +1091,23 @@ Status ObjectiveDatabase::LoadManifest(const storage::Manifest& manifest,
       if (row.row_id > shard.max_sealed_id && row.row_id <= last_id) {
         // A re-logged id is how Upsert records an in-place update of a
         // growing row: same row_id, newer content. Replay it as a
-        // replacement. An id we have never seen in the growing deque is
+        // replacement. An id we have never seen in the growing segment is
         // genuine corruption and ends the valid prefix.
         std::unique_lock lock(shard.mu);
-        std::optional<size_t> ordinal =
-            FindGrowingOrdinalLocked(shard, row.row_id);
+        std::optional<uint64_t> ordinal = shard.growing.FindRowId(row.row_id);
         if (!ordinal.has_value()) {
           stopped_early = true;
           break;
         }
         valid_bytes += kWalRecordHeaderBytes + payload.size();
-        ReplaceGrowingLocked(shard, *ordinal, std::move(row));
+        shard.growing.Replace(static_cast<uint32_t>(*ordinal), std::move(row));
         continue;
       }
       valid_bytes += kWalRecordHeaderBytes + payload.size();
       if (row.row_id <= shard.max_sealed_id) continue;  // Already sealed.
       last_id = row.row_id;
       std::unique_lock lock(shard.mu);
-      AppendGrowingLocked(shard, std::move(row));
+      shard.growing.Append(std::move(row));
       ++appended;
     }
     total += appended;
@@ -1486,22 +1221,39 @@ Status ObjectiveDatabase::Flush() {
 
 Status ObjectiveDatabase::SealShard(size_t index) {
   Shard& shard = *shards_[index];
-  // Snapshot the rows to seal; inserts landing after this stay growing.
-  std::vector<DbRow> rows;
-  {
-    std::shared_lock lock(shard.mu);
-    if (shard.growing.rows.empty()) return Status::Ok();
-    rows.assign(shard.growing.rows.begin(), shard.growing.rows.end());
+  while (true) {
+    std::shared_ptr<const storage::GrowingSegment> frozen;
+    bool leftover;
+    {
+      // Freeze the growing segment: it becomes immutable and keeps serving
+      // queries while it is written out; writes from here on go to a fresh
+      // growing segment.
+      std::unique_lock lock(shard.mu);
+      leftover = shard.frozen != nullptr;
+      if (!leftover) {
+        if (shard.growing.empty()) return Status::Ok();
+        shard.frozen = std::make_shared<const storage::GrowingSegment>(
+            std::exchange(shard.growing, storage::GrowingSegment()));
+      }
+      frozen = shard.frozen;
+    }
+    GOALEX_RETURN_IF_ERROR(SealFrozen(index, frozen));
+    if (!leftover) return Status::Ok();
   }
-  storage::SegmentBuilder builder;
-  for (const DbRow& row : rows) builder.Add(row);
+}
+
+Status ObjectiveDatabase::SealFrozen(
+    size_t index,
+    const std::shared_ptr<const storage::GrowingSegment>& frozen) {
+  Shard& shard = *shards_[index];
+  // The frozen segment is immutable, so serializing and writing it needs
+  // no shard lock: queries and writes proceed meanwhile.
   uint64_t sequence = next_segment_.fetch_add(1, std::memory_order_relaxed);
-  std::string name = SegmentFileName(index, sequence);
-  std::string path = dir_ + "/" + name;
-  GOALEX_RETURN_IF_ERROR(builder.WriteTo(env_, path + ".tmp"));
-  GOALEX_RETURN_IF_ERROR(env_->Rename(path + ".tmp", path));
+  StatusOr<storage::ManifestSegment> entry = WriteSegmentFile(
+      env_, dir_, SegmentFileName(index, sequence), index, *frozen);
+  if (!entry.ok()) return entry.status();
   StatusOr<std::shared_ptr<storage::SealedSegment>> segment =
-      storage::SealedSegment::Open(env_, path);
+      storage::SealedSegment::Open(env_, dir_ + "/" + entry->file);
   if (!segment.ok()) return segment.status();
 
   std::unique_lock lock(shard.mu);
@@ -1511,13 +1263,7 @@ Status ObjectiveDatabase::SealShard(size_t index) {
     // everything the new segment covers; a crash before it leaves the new
     // segment an ignored orphan.
     std::lock_guard<std::mutex> mlock(manifest_mu_);
-    storage::ManifestSegment entry;
-    entry.shard = static_cast<int>(index);
-    entry.file = name;
-    entry.rows = rows.size();
-    entry.min_row_id = rows.front().row_id;
-    entry.max_row_id = rows.back().row_id;
-    manifest_.segments.push_back(std::move(entry));
+    manifest_.segments.push_back(entry.value());
     manifest_.next_segment = next_segment_.load(std::memory_order_relaxed);
     Status committed = storage::WriteManifest(env_, dir_, manifest_);
     if (!committed.ok()) {
@@ -1526,9 +1272,8 @@ Status ObjectiveDatabase::SealShard(size_t index) {
     }
   }
   shard.sealed.push_back(std::move(segment).value());
-  shard.max_sealed_id = rows.back().row_id;
-  for (size_t i = 0; i < rows.size(); ++i) shard.growing.rows.pop_front();
-  RebuildGrowingLocked(shard);
+  shard.max_sealed_id = frozen->max_row_id();
+  shard.frozen.reset();
   if (seal_counter_ != nullptr) seal_counter_->Increment();
   if (segments_gauge_ != nullptr) {
     std::lock_guard<std::mutex> mlock(manifest_mu_);
@@ -1545,7 +1290,8 @@ void ObjectiveDatabase::RewriteWalLocked(Shard& shard, size_t index) {
   StatusOr<std::unique_ptr<storage::WalWriter>> writer =
       storage::WalWriter::Open(env_, tmp, /*fsync_interval=*/0);
   if (!writer.ok()) return;
-  for (const DbRow& row : shard.growing.rows) {
+  for (uint64_t ordinal = 0; ordinal < shard.growing.num_rows(); ++ordinal) {
+    const DbRow& row = shard.growing.row(ordinal);
     std::string payload;
     storage::EncodeRow(row, &payload);
     if (!(*writer)->Append(payload).ok()) return;

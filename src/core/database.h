@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -124,12 +123,14 @@ struct TextFilter {
 /// objectives (DESIGN.md §10, storage engine §12).
 ///
 /// Rows are partitioned into shards by a hash of the company name. Each
-/// shard is a small LSM: a mutable *growing* segment (std::deque of rows
-/// plus in-memory secondary indexes, guarded by the shard's reader/writer
-/// lock) in front of a stack of immutable *sealed* segments — columnar,
-/// index-complete files that Load()/Open() mmap back in without
-/// deserializing, so a million-row cold start is a CRC pass over the
-/// mapped bytes instead of a row-by-row rebuild.
+/// shard is a small LSM: a mutable *growing* segment (a
+/// storage::GrowingSegment, which indexes each row as it is written,
+/// guarded by the shard's reader/writer lock) in front of a stack of
+/// immutable *sealed* segments — columnar, index-complete files that
+/// Load()/Open() mmap back in without deserializing, so a million-row cold
+/// start is a CRC pass over the mapped bytes instead of a row-by-row
+/// rebuild. A seal serializes the growing segment's own index; no row is
+/// indexed twice.
 ///
 /// Durability: Open(dir) attaches a directory read-write. Every Insert is
 /// then appended to the owning shard's write-ahead log (per-record CRC;
@@ -140,7 +141,7 @@ struct TextFilter {
 /// byte leaves a prefix-consistent store (replay dedups rows whose id is
 /// already covered by a sealed segment; orphan segment files are ignored).
 ///
-/// Queries merge sealed posting lists with the growing indexes:
+/// Queries merge the posting lists of every segment, sealed or growing:
 ///
 ///   - by company (ByCompany, CountPerCompany, FieldCoverageByCompany),
 ///   - by non-empty field kind (WithField),
@@ -265,8 +266,7 @@ class ObjectiveDatabase {
   /// Terms that tokenize to nothing (punctuation-only) are ignored; a query
   /// with no effective terms returns only what `filter` alone selects — or
   /// nothing when the filter is empty too. Served from the inverted text
-  /// index of each sealed segment plus the growing segment's term map;
-  /// no row scan.
+  /// index of every segment, sealed or growing; no row scan.
   std::vector<DbRow> QueryText(const std::string& query,
                                const TextFilter& filter = TextFilter()) const;
 
@@ -333,30 +333,15 @@ class ObjectiveDatabase {
   Status Load(const std::string& dir);
 
  private:
-  /// The mutable head of a shard: rows not yet sealed, with in-memory
-  /// secondary indexes (values are indices into `rows`, ascending).
-  struct Growing {
-    std::deque<DbRow> rows;  ///< Ascending row_id (ids assigned under mu).
-    std::unordered_map<std::string, std::vector<size_t>> by_company;
-    std::unordered_map<std::string, std::vector<size_t>> by_field;
-    std::unordered_map<std::string,
-                       std::unordered_map<std::string, std::vector<size_t>>>
-        by_field_value;
-    std::map<int, std::vector<size_t>> by_deadline_year;
-    /// Lowercased term -> rows containing it (objective text or any
-    /// non-empty field value) — the growing side of the text index.
-    std::unordered_map<std::string, std::vector<size_t>> by_term;
-    /// company -> kind -> number of rows with a non-empty value, so
-    /// FieldCoverageByCompany is O(companies), not O(rows).
-    std::unordered_map<std::string, std::unordered_map<std::string, int64_t>>
-        field_count_by_company;
-
-    void Clear();
-  };
-
   struct Shard {
     mutable std::shared_mutex mu;
-    Growing growing;
+    /// Rows not yet sealed, indexed as they are written.
+    storage::GrowingSegment growing;
+    /// The growing segment an in-flight seal froze (or a failed seal left
+    /// behind for the next one to retry). Immutable: it keeps serving
+    /// queries until the seal commits and its sealed file takes its place,
+    /// and Upsert treats its rows as sealed (DESIGN.md §12.6).
+    std::shared_ptr<const storage::GrowingSegment> frozen;
     /// Immutable mmap-backed segments, in seal order (ascending row-id
     /// ranges, disjoint). shared_ptr so queries can keep serving a segment
     /// snapshot without holding the shard lock.
@@ -381,32 +366,20 @@ class ObjectiveDatabase {
 
   size_t ShardIndexFor(const std::string& company) const;
 
-  /// Registers `row` (stored at `ordinal`) in every growing index.
-  /// Ordinals are kept sorted within each posting vector, so this works
-  /// both for appends (ordinal is the largest) and for in-place updates
-  /// (ordinal lands mid-vector).
-  static void IndexGrowingRowLocked(Growing& growing, const DbRow& row,
-                                    size_t ordinal);
+  /// Reads the row with id `row_id` from any segment of `shard` (sealed,
+  /// frozen, growing). Caller holds at least the shared lock.
+  static std::optional<DbRow> ReadRowLocked(const Shard& shard,
+                                            int64_t row_id);
 
-  /// Removes `row` (stored at `ordinal`) from every growing index — the
-  /// exact inverse of IndexGrowingRowLocked, erasing entries that empty
-  /// out so Companies()/coverage queries never see ghosts.
-  static void DeindexGrowingRowLocked(Growing& growing, const DbRow& row,
-                                      size_t ordinal);
-
-  /// Replaces the growing row at `ordinal` with `row` (same row id),
-  /// keeping every index exact. Caller holds the exclusive lock.
-  static void ReplaceGrowingLocked(Shard& shard, size_t ordinal, DbRow row);
-
-  /// Ordinal of the growing row with id `row_id`, if present. Caller holds
+  /// Calls `fn` on every segment of `shard` in row-id order: sealed, then
+  /// frozen, then growing (`fn` takes either segment type). Caller holds
   /// at least the shared lock.
-  static std::optional<size_t> FindGrowingOrdinalLocked(const Shard& shard,
-                                                        int64_t row_id);
-
-  /// Reads the sealed row with id `row_id`, if any segment holds it.
-  /// Caller holds at least the shared lock.
-  static std::optional<DbRow> ReadSealedRowLocked(const Shard& shard,
-                                                  int64_t row_id);
+  template <typename Fn>
+  static void ForEachSegment(const Shard& shard, Fn&& fn) {
+    for (const auto& segment : shard.sealed) fn(*segment);
+    if (shard.frozen != nullptr) fn(*shard.frozen);
+    fn(shard.growing);
+  }
 
   /// WAL-logs `row` when attached (shared by Insert and Upsert). Caller
   /// holds the exclusive lock.
@@ -419,30 +392,8 @@ class ObjectiveDatabase {
   /// state, which also makes it self-healing after crashes.
   void BuildUpsertState();
 
-  /// Appends `row` to the growing segment and maintains every index.
-  /// Caller holds the shard's exclusive lock.
-  static void AppendGrowingLocked(Shard& shard, DbRow row);
-
-  /// Rebuilds the growing indexes from its rows (after a seal erased the
-  /// front of the deque, shifting every ordinal). Caller holds the
-  /// exclusive lock.
-  static void RebuildGrowingLocked(Shard& shard);
-
-  /// Copies the growing rows at `ordinals` into `out`. Caller holds at
-  /// least the shard's shared lock.
-  static void CollectGrowing(const Shard& shard,
-                             const std::vector<size_t>& ordinals,
-                             std::vector<DbRow>* out);
-
-  /// Materializes the rows of `postings` from `segment` into `out`,
-  /// skipping rows masked by `shard`'s superseded overlay.
-  static void CollectSealed(const Shard& shard,
-                            const storage::SealedSegment& segment,
-                            const storage::PostingsView& postings,
-                            std::vector<DbRow>* out);
-
-  /// Copies every row of one shard (sealed segments in order, then
-  /// growing), ascending by row id.
+  /// Copies every unmasked row of one shard (sealed segments in order,
+  /// then frozen, then growing), ascending by row id.
   std::vector<DbRow> CollectShardRows(const Shard& shard) const;
 
   /// Replaces all shards with `count` fresh ones (detached state is
@@ -458,10 +409,17 @@ class ObjectiveDatabase {
   /// segments.
   Status LoadLegacyFile(const std::string& path);
 
-  /// Seals shard `index`'s growing rows into a new segment file, commits
-  /// the manifest, and shrinks the WAL (DESIGN.md §12.6 ordering). No-op
-  /// for an empty shard.
+  /// Seals shard `index`: freezes its growing segment, serializes it into
+  /// a new segment file, commits the manifest, and shrinks the WAL
+  /// (DESIGN.md §12.6 ordering). A segment a failed seal left frozen is
+  /// sealed first. No-op for an empty shard.
   Status SealShard(size_t index);
+
+  /// Writes `frozen` (shard `index`'s frozen segment) as a segment file and
+  /// commits it in its place.
+  Status SealFrozen(
+      size_t index,
+      const std::shared_ptr<const storage::GrowingSegment>& frozen);
 
   /// Queues shard `index` for the background sealer (or ignores the
   /// request when sealing is synchronous-only).

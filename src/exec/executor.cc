@@ -53,7 +53,12 @@ struct Executor::RunState {
   std::atomic<uint64_t> steals{0};
 
   std::mutex sleep_mu;
+  /// Idle workers wait here for ready nodes (or `done`).
   std::condition_variable cv;
+  /// Run's caller waits here for every worker loop to exit. A separate
+  /// condvar: sharing `cv` let a wave's notify_one wake the caller instead
+  /// of a sleeping worker, which then slept through the whole wave.
+  std::condition_variable settled_cv;
   int sleepers = 0;
   int active_workers = 0;
   bool done = false;
@@ -190,7 +195,7 @@ void Executor::RunParallel(Graph& graph, RunState& state) {
     loops.push_back([this, &graph, &state, w] {
       WorkerLoop(graph, state, w);
       std::lock_guard<std::mutex> lock(state.sleep_mu);
-      if (--state.active_workers == 0) state.cv.notify_all();
+      if (--state.active_workers == 0) state.settled_cv.notify_all();
     });
   }
   pool_->SubmitBatch(std::move(loops));
@@ -198,8 +203,8 @@ void Executor::RunParallel(Graph& graph, RunState& state) {
   // Block until the graph settles AND every worker loop has exited (a loop
   // still running would read this stack frame's RunState after return).
   std::unique_lock<std::mutex> lock(state.sleep_mu);
-  state.cv.wait(lock,
-                [&state] { return state.done && state.active_workers == 0; });
+  state.settled_cv.wait(
+      lock, [&state] { return state.done && state.active_workers == 0; });
 }
 
 void Executor::WorkerLoop(Graph& graph, RunState& state, int worker) {

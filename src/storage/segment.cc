@@ -1,13 +1,11 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
-#include <set>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "storage/crc32.h"
-#include "text/word_tokenizer.h"
 
 namespace goalex::storage {
 namespace {
@@ -58,45 +56,56 @@ void AppendI64(std::string* out, int64_t v) {
   AppendU64(out, static_cast<uint64_t>(v));
 }
 
-/// Serializes a sorted term -> postings map in the flat dictionary layout:
-/// u64 T, u64 key_offsets[T+1], u64 post_offsets[T+1], key blob,
-/// u32 postings[].
-std::string SerializeDict(
-    const std::map<std::string, std::vector<uint32_t>, std::less<>>& dict) {
-  std::string out;
-  uint64_t term_count = dict.size();
-  AppendU64(&out, term_count);
-  uint64_t key_offset = 0;
-  AppendU64(&out, key_offset);
-  for (const auto& [key, postings] : dict) {
-    key_offset += key.size();
-    AppendU64(&out, key_offset);
-  }
-  uint64_t post_offset = 0;
-  AppendU64(&out, post_offset);
-  for (const auto& [key, postings] : dict) {
-    post_offset += postings.size();
-    AppendU64(&out, post_offset);
-  }
-  for (const auto& [key, postings] : dict) out.append(key);
-  for (const auto& [key, postings] : dict) {
-    for (uint32_t ordinal : postings) AppendU32(&out, ordinal);
-  }
-  return out;
+/// The entries of a hash map sorted by key: the on-disk dictionary order.
+template <typename Value>
+std::vector<const std::pair<const std::string, Value>*> SortedEntries(
+    const StringKeyMap<Value>& map) {
+  std::vector<const std::pair<const std::string, Value>*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
 }
 
-void AppendStatsMap(std::string* out,
-                    const std::map<std::string, int64_t>& counts) {
-  AppendU64(out, counts.size());
-  for (const auto& [key, count] : counts) {
-    AppendU32(out, static_cast<uint32_t>(key.size()));
-    out->append(key);
-    AppendI64(out, count);
+/// Serializes a term -> postings map in the flat dictionary layout, keys
+/// ascending: u64 T, u64 key_offsets[T+1], u64 post_offsets[T+1], key
+/// blob, u32 postings[].
+void AppendDict(std::string* out,
+                const StringKeyMap<std::vector<uint32_t>>& dict) {
+  const auto entries = SortedEntries(dict);
+  AppendU64(out, entries.size());
+  uint64_t key_offset = 0;
+  AppendU64(out, key_offset);
+  for (const auto* entry : entries) {
+    key_offset += entry->first.size();
+    AppendU64(out, key_offset);
+  }
+  uint64_t post_offset = 0;
+  AppendU64(out, post_offset);
+  for (const auto* entry : entries) {
+    post_offset += entry->second.size();
+    AppendU64(out, post_offset);
+  }
+  for (const auto* entry : entries) out->append(entry->first);
+  for (const auto* entry : entries) {
+    out->append(reinterpret_cast<const char*>(entry->second.data()),
+                entry->second.size() * sizeof(uint32_t));
+  }
+}
+
+void AppendStatsMap(std::string* out, const StringKeyMap<int64_t>& counts) {
+  const auto entries = SortedEntries(counts);
+  AppendU64(out, entries.size());
+  for (const auto* entry : entries) {
+    AppendU32(out, static_cast<uint32_t>(entry->first.size()));
+    out->append(entry->first);
+    AppendI64(out, entry->second);
   }
 }
 
 bool ParseStatsMap(const uint8_t* data, size_t size, size_t* pos,
-                   std::unordered_map<std::string, int64_t>* out) {
+                   StringKeyMap<int64_t>* out) {
   if (size - *pos < sizeof(uint64_t)) return false;
   uint64_t count = LoadU64(data + *pos);
   *pos += sizeof(uint64_t);
@@ -116,20 +125,45 @@ bool ParseStatsMap(const uint8_t* data, size_t size, size_t* pos,
   return true;
 }
 
-bool IsIndexableToken(std::string_view token) {
-  for (char c : token) {
-    unsigned char b = static_cast<unsigned char>(c);
-    if (std::isalnum(b) || b >= 0x80) return true;
+/// FieldValueKey into a reused buffer.
+void AssignFieldValueKey(std::string_view kind, std::string_view value,
+                         std::string* key) {
+  key->assign(kind);
+  key->push_back('\x1f');
+  key->append(value);
+}
+
+bool IsWordByte(unsigned char b) {
+  return (b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') ||
+         (b >= 'A' && b <= 'Z') || b >= 0x80;
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Adds `ordinal` to a sorted posting list unless it is already there.
+/// Appending a row passes the largest ordinal, so that is a push_back; a
+/// replaced row's ordinal lands mid-list.
+void AddPosting(std::vector<uint32_t>& postings, uint32_t ordinal) {
+  if (postings.empty() || postings.back() < ordinal) {
+    postings.push_back(ordinal);
+    return;
   }
-  return false;
+  auto it = std::lower_bound(postings.begin(), postings.end(), ordinal);
+  if (*it != ordinal) postings.insert(it, ordinal);
+}
+
+template <typename Value>
+Value& Slot(StringKeyMap<Value>& map, std::string_view key) {
+  auto it = map.find(key);
+  if (it == map.end()) it = map.emplace(std::string(key), Value()).first;
+  return it->second;
 }
 
 }  // namespace
 
 std::string FieldValueKey(std::string_view kind, std::string_view value) {
-  std::string key(kind);
-  key.push_back('\x1f');
-  key.append(value);
+  std::string key;
+  AssignFieldValueKey(kind, value, &key);
   return key;
 }
 
@@ -144,14 +178,40 @@ std::string YearKey(int year) {
   return std::string(buf);
 }
 
-std::vector<std::string> TextIndexTerms(std::string_view text) {
-  static const text::WordTokenizer* const tokenizer =
-      new text::WordTokenizer();
-  std::vector<std::string> terms;
-  for (text::Token& token : tokenizer->Tokenize(text)) {
-    if (!IsIndexableToken(token.text)) continue;
-    terms.push_back(AsciiToLower(token.text));
+bool TextTermScanner::Next() {
+  const size_t size = text_.size();
+  // Skip to the next word byte: whitespace and punctuation tokens are
+  // never terms.
+  while (pos_ < size && !IsWordByte(static_cast<unsigned char>(text_[pos_]))) {
+    ++pos_;
   }
+  if (pos_ == size) return false;
+  const size_t start = pos_;
+  while (pos_ < size) {
+    const char c = text_[pos_];
+    if (IsWordByte(static_cast<unsigned char>(c))) {
+      ++pos_;
+      continue;
+    }
+    // Decimal points and thousands separators stay inside numbers.
+    if ((c == '.' || c == ',') && IsDigit(text_[pos_ - 1]) &&
+        pos_ + 1 < size && IsDigit(text_[pos_ + 1])) {
+      ++pos_;
+      continue;
+    }
+    break;
+  }
+  term_.assign(text_.data() + start, pos_ - start);
+  for (char& c : term_) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return true;
+}
+
+std::vector<std::string> TextIndexTerms(std::string_view text) {
+  std::vector<std::string> terms;
+  TextTermScanner scanner(text);
+  while (scanner.Next()) terms.emplace_back(scanner.term());
   return terms;
 }
 
@@ -178,47 +238,135 @@ uint32_t PostingsView::At(size_t i) const {
   return LoadU32(base_ + i * sizeof(uint32_t));
 }
 
-// --- SegmentBuilder --------------------------------------------------------
+// --- GrowingSegment --------------------------------------------------------
 
-void SegmentBuilder::Add(const Row& row) {
-  GOALEX_CHECK_MSG(row_ids_.empty() || row.row_id > row_ids_.back(),
-                   "segment rows must be added in ascending row_id order");
-  uint32_t ordinal = static_cast<uint32_t>(row_ids_.size());
-  row_ids_.push_back(row.row_id);
-  EncodeRow(row, &row_data_);
-  row_offsets_.push_back(row_data_.size());
-
-  company_[row.company].push_back(ordinal);
-  ++company_rows_[row.company];
-  for (const auto& [kind, value] : row.record.fields) {
-    if (value.empty()) continue;
-    field_kind_[kind].push_back(ordinal);
-    field_value_[FieldValueKey(kind, value)].push_back(ordinal);
-    ++company_kind_rows_[FieldValueKey(row.company, kind)];
-  }
-  if (std::optional<int> year = DeadlineYearOfRecord(row.record)) {
-    year_[YearKey(*year)].push_back(ordinal);
-  }
-
-  std::set<std::string> terms;
-  for (std::string& term : TextIndexTerms(row.record.objective_text)) {
-    terms.insert(std::move(term));
-  }
-  for (const auto& [kind, value] : row.record.fields) {
-    if (value.empty()) continue;
-    for (std::string& term : TextIndexTerms(value)) {
-      terms.insert(std::move(term));
-    }
-  }
-  for (const std::string& term : terms) text_[term].push_back(ordinal);
+GrowingSegment::Dict& GrowingSegment::DictFor(SegmentIndex index) {
+  return dicts_[static_cast<uint32_t>(index) -
+                static_cast<uint32_t>(SegmentIndex::kCompany)];
 }
 
-std::string SegmentBuilder::Serialize() const {
+const GrowingSegment::Dict& GrowingSegment::DictFor(
+    SegmentIndex index) const {
+  return dicts_[static_cast<uint32_t>(index) -
+                static_cast<uint32_t>(SegmentIndex::kCompany)];
+}
+
+void GrowingSegment::IndexRow(const Row& row, uint32_t ordinal, int delta) {
+  auto post = [&](SegmentIndex index, std::string_view key) {
+    Dict& dict = DictFor(index);
+    if (delta > 0) {
+      AddPosting(Slot(dict, key), ordinal);
+      return;
+    }
+    auto it = dict.find(key);
+    if (it == dict.end()) return;  // A repeated term, already removed.
+    std::vector<uint32_t>& postings = it->second;
+    auto at = std::lower_bound(postings.begin(), postings.end(), ordinal);
+    if (at != postings.end() && *at == ordinal) postings.erase(at);
+    if (postings.empty()) dict.erase(it);
+  };
+  auto count = [&](StringKeyMap<int64_t>& counts, std::string_view key) {
+    int64_t& n = Slot(counts, key);
+    n += delta;
+    if (n == 0) counts.erase(counts.find(key));
+  };
+
+  post(SegmentIndex::kCompany, row.company);
+  count(company_rows_, row.company);
+  std::string key;
+  for (const auto& [kind, value] : row.record.fields) {
+    if (value.empty()) continue;
+    post(SegmentIndex::kFieldKind, kind);
+    AssignFieldValueKey(kind, value, &key);
+    post(SegmentIndex::kFieldValue, key);
+    AssignFieldValueKey(row.company, kind, &key);
+    count(company_kind_rows_, key);
+  }
+  if (std::optional<int> year = DeadlineYearOfRecord(row.record)) {
+    post(SegmentIndex::kDeadlineYear, YearKey(*year));
+  }
+  auto post_terms = [&](std::string_view text) {
+    TextTermScanner scanner(text);
+    while (scanner.Next()) post(SegmentIndex::kText, scanner.term());
+  };
+  post_terms(row.record.objective_text);
+  for (const auto& [kind, value] : row.record.fields) post_terms(value);
+}
+
+void GrowingSegment::Append(Row row) {
+  GOALEX_CHECK_MSG(rows_.empty() || row.row_id > rows_.back().row_id,
+                   "segment rows must be added in ascending row_id order");
+  const uint32_t ordinal = static_cast<uint32_t>(rows_.size());
+  IndexRow(row, ordinal, +1);
+  rows_.push_back(std::move(row));
+}
+
+void GrowingSegment::Replace(uint32_t ordinal, Row row) {
+  GOALEX_CHECK(ordinal < rows_.size());
+  Row& slot = rows_[ordinal];
+  GOALEX_CHECK_MSG(row.row_id == slot.row_id,
+                   "Replace must keep the row id");
+  IndexRow(slot, ordinal, -1);
+  slot = std::move(row);
+  IndexRow(slot, ordinal, +1);
+}
+
+bool GrowingSegment::ReadRow(uint64_t ordinal, Row* out) const {
+  if (ordinal >= rows_.size()) return false;
+  *out = rows_[ordinal];
+  return true;
+}
+
+std::optional<uint64_t> GrowingSegment::FindRowId(int64_t row_id) const {
+  auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), row_id,
+      [](const Row& row, int64_t id) { return row.row_id < id; });
+  if (it == rows_.end() || it->row_id != row_id) return std::nullopt;
+  return static_cast<uint64_t>(it - rows_.begin());
+}
+
+PostingsView GrowingSegment::Postings(SegmentIndex index,
+                                      std::string_view key) const {
+  const Dict& dict = DictFor(index);
+  auto it = dict.find(key);
+  if (it == dict.end()) return {};
+  return PostingsView(reinterpret_cast<const uint8_t*>(it->second.data()),
+                      it->second.size());
+}
+
+void GrowingSegment::ForEachKey(
+    SegmentIndex index,
+    const std::function<void(std::string_view)>& fn) const {
+  for (const auto& [key, postings] : DictFor(index)) fn(key);
+}
+
+void GrowingSegment::ForEachYearInRange(
+    int min_year, int max_year,
+    const std::function<void(const PostingsView&)>& fn) const {
+  if (min_year > max_year) return;
+  const std::string lo_key = YearKey(min_year);
+  const std::string hi_key = YearKey(max_year);
+  for (const auto& [key, postings] : DictFor(SegmentIndex::kDeadlineYear)) {
+    if (key < lo_key || key > hi_key) continue;
+    fn(PostingsView(reinterpret_cast<const uint8_t*>(postings.data()),
+                    postings.size()));
+  }
+}
+
+std::string GrowingSegment::Serialize() const {
+  std::string row_data;
+  std::vector<uint64_t> row_offsets{0};
+  row_offsets.reserve(rows_.size() + 1);
+  for (const Row& row : rows_) {
+    EncodeRow(row, &row_data);
+    row_offsets.push_back(row_data.size());
+  }
+
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   AppendU32(&out, kFormatVersion);
   AppendU32(&out, 0);  // reserved
-  AppendU64(&out, row_ids_.size());
+  AppendU64(&out, rows_.size());
 
   struct Entry {
     uint32_t id;
@@ -226,35 +374,27 @@ std::string SegmentBuilder::Serialize() const {
     uint64_t size;
   };
   std::vector<Entry> table;
-  auto add_section = [&](uint32_t id, const std::string& bytes) {
-    table.push_back({id, out.size(), bytes.size()});
-    out.append(bytes);
+  auto add_section = [&](uint32_t id, const auto& write) {
+    const uint64_t begin = out.size();
+    write();
+    table.push_back({id, begin, out.size() - begin});
   };
 
-  std::string row_ids;
-  for (int64_t id : row_ids_) AppendI64(&row_ids, id);
-  add_section(kSecRowIds, row_ids);
-
-  std::string row_offsets;
-  for (uint64_t offset : row_offsets_) AppendU64(&row_offsets, offset);
-  add_section(kSecRowOffsets, row_offsets);
-
-  add_section(kSecRowData, row_data_);
-  add_section(static_cast<uint32_t>(SegmentIndex::kCompany),
-              SerializeDict(company_));
-  add_section(static_cast<uint32_t>(SegmentIndex::kFieldKind),
-              SerializeDict(field_kind_));
-  add_section(static_cast<uint32_t>(SegmentIndex::kFieldValue),
-              SerializeDict(field_value_));
-  add_section(static_cast<uint32_t>(SegmentIndex::kDeadlineYear),
-              SerializeDict(year_));
-  add_section(static_cast<uint32_t>(SegmentIndex::kText),
-              SerializeDict(text_));
-
-  std::string stats;
-  AppendStatsMap(&stats, company_rows_);
-  AppendStatsMap(&stats, company_kind_rows_);
-  add_section(kSecStats, stats);
+  add_section(kSecRowIds, [&] {
+    for (const Row& row : rows_) AppendI64(&out, row.row_id);
+  });
+  add_section(kSecRowOffsets, [&] {
+    for (uint64_t offset : row_offsets) AppendU64(&out, offset);
+  });
+  add_section(kSecRowData, [&] { out.append(row_data); });
+  for (uint32_t i = 0; i < kIndexCount; ++i) {
+    add_section(static_cast<uint32_t>(SegmentIndex::kCompany) + i,
+                [&] { AppendDict(&out, dicts_[i]); });
+  }
+  add_section(kSecStats, [&] {
+    AppendStatsMap(&out, company_rows_);
+    AppendStatsMap(&out, company_kind_rows_);
+  });
 
   uint64_t table_offset = out.size();
   AppendU32(&out, static_cast<uint32_t>(table.size()));
@@ -272,7 +412,7 @@ std::string SegmentBuilder::Serialize() const {
   return out;
 }
 
-Status SegmentBuilder::WriteTo(Env* env, const std::string& path) const {
+Status GrowingSegment::WriteTo(Env* env, const std::string& path) const {
   StatusOr<std::unique_ptr<WritableFile>> file =
       env->NewWritableFile(path, /*truncate=*/true);
   if (!file.ok()) return file.status();

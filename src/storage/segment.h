@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,10 +36,32 @@ std::string FieldValueKey(std::string_view kind, std::string_view value);
 /// years, which is what makes deadline range scans a dictionary walk.
 std::string YearKey(int year);
 
-/// Lowercased indexable terms of `text`, in token order with duplicates
-/// preserved (the phrase side needs the sequence). A token is indexable
-/// when it contains an alphanumeric byte or any non-ASCII byte; pure
-/// punctuation tokens are dropped, mirroring what the index stores.
+/// Streams the indexable terms of a text: its word tokens under
+/// text::WordTokenizer's rules (runs of ASCII alphanumerics and non-ASCII
+/// bytes, with '.' and ',' kept between digits, so "62.1" and "10,000" are
+/// one term each), ASCII-lowercased. Punctuation tokens are never terms.
+/// The one tokenizer of the text index: rows are indexed and queries are
+/// parsed through it, so both sides always agree on what a term is. The
+/// current term lives in a buffer the scanner reuses, so a scan allocates
+/// nothing per token.
+class TextTermScanner {
+ public:
+  explicit TextTermScanner(std::string_view text) : text_(text) {}
+
+  /// Advances to the next term; false at the end of the text.
+  bool Next();
+
+  /// The current term, lowercased. Valid until the next call to Next().
+  std::string_view term() const { return term_; }
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::string term_;
+};
+
+/// Lowercased indexable terms of `text` (TextTermScanner), in token order
+/// with duplicates preserved (the phrase side needs the sequence).
 std::vector<std::string> TextIndexTerms(std::string_view text);
 
 /// True when `terms` (from TextIndexTerms) appear contiguously, in order,
@@ -48,9 +69,22 @@ std::vector<std::string> TextIndexTerms(std::string_view text);
 bool ContainsPhrase(std::string_view text,
                     const std::vector<std::string>& terms);
 
-/// A posting list inside an mmap'ed segment: `count` little-endian u32
-/// ordinals, ascending. Accessed by value copy per element (the bytes may
-/// be unaligned).
+/// Hash of a string-keyed map that also looks keys up by string_view, so
+/// probing a key never builds a std::string.
+struct StringKeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+
+template <typename Value>
+using StringKeyMap =
+    std::unordered_map<std::string, Value, StringKeyHash, std::equal_to<>>;
+
+/// A posting list of a segment: `count` u32 ordinals, ascending, inside an
+/// mmap'ed file or a growing segment's vector. Accessed by value copy per
+/// element (mapped bytes may be unaligned).
 class PostingsView {
  public:
   PostingsView() = default;
@@ -66,18 +100,70 @@ class PostingsView {
   size_t count_ = 0;
 };
 
-/// Builds a sealed-segment file from rows added in ascending row-id order:
-/// columnar row storage plus every secondary index and the inverted text
-/// index, serialized with a trailing section table and a whole-body CRC-32
-/// (format: DESIGN.md §12.2).
-class SegmentBuilder {
+/// The one index implementation of the store: a mutable, fully indexed
+/// in-memory segment. ObjectiveDatabase keeps each shard's growing rows in
+/// one, adding every row to the indexes as it is written; growing-side
+/// queries read the same postings; and a seal serializes it as it stands
+/// into the sealed-segment file format (DESIGN.md §12.2, §12.4), so a row
+/// is indexed once in its life. Save() and tests build files through it
+/// too.
+///
+/// Keys live in hash maps while the segment grows and are sorted once, by
+/// Serialize(). Postings are ascending u32 row ordinals, the same
+/// PostingsView shape SealedSegment serves, so one query path reads both.
+/// Not thread-safe for writers; const access may be concurrent.
+class GrowingSegment {
  public:
-  /// Adds a row. Rows must arrive in strictly ascending row_id order.
-  void Add(const Row& row);
+  /// Appends a row. Row ids must be strictly ascending.
+  void Append(Row row);
 
-  size_t num_rows() const { return row_ids_.size(); }
+  /// Replaces the row at `ordinal` (< num_rows) with `row`, which keeps the
+  /// row id: the old row's postings and counts are removed and the new
+  /// row's added, so the result is exactly what appending the new row in
+  /// that position would have built.
+  void Replace(uint32_t ordinal, Row row);
 
-  /// Serializes the complete segment file image.
+  size_t num_rows() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  int64_t min_row_id() const {
+    return rows_.empty() ? 0 : rows_.front().row_id;
+  }
+  int64_t max_row_id() const {
+    return rows_.empty() ? -1 : rows_.back().row_id;
+  }
+
+  /// The row at `ordinal` (< num_rows).
+  const Row& row(uint64_t ordinal) const { return rows_[ordinal]; }
+
+  /// Copies the row at `ordinal` into `out` (the SealedSegment shape).
+  bool ReadRow(uint64_t ordinal, Row* out) const;
+
+  /// Binary-searches the rows by id. nullopt when absent.
+  std::optional<uint64_t> FindRowId(int64_t row_id) const;
+
+  /// Posting list for `key` in `index` (empty when the key is absent).
+  /// Valid until the next Append or Replace.
+  PostingsView Postings(SegmentIndex index, std::string_view key) const;
+
+  /// Visits every key of `index`, in no particular order.
+  void ForEachKey(SegmentIndex index,
+                  const std::function<void(std::string_view)>& fn) const;
+
+  /// Visits the posting list of every deadline year in [min_year,
+  /// max_year], in no particular order.
+  void ForEachYearInRange(
+      int min_year, int max_year,
+      const std::function<void(const PostingsView&)>& fn) const;
+
+  /// Per-company row counts and per-(company, kind) non-empty-field counts,
+  /// keyed as in SealedSegment.
+  const StringKeyMap<int64_t>& company_rows() const { return company_rows_; }
+  const StringKeyMap<int64_t>& company_kind_rows() const {
+    return company_kind_rows_;
+  }
+
+  /// Serializes the complete segment file image: rows in ordinal order,
+  /// every dictionary sorted by key.
   std::string Serialize() const;
 
   /// Writes Serialize() to `path` via `env` and fsyncs it. The caller is
@@ -85,17 +171,20 @@ class SegmentBuilder {
   Status WriteTo(Env* env, const std::string& path) const;
 
  private:
-  std::vector<int64_t> row_ids_;
-  std::vector<uint64_t> row_offsets_{0};
-  std::string row_data_;
-  /// std::map keeps keys sorted, which the on-disk dictionaries require.
-  std::map<std::string, std::vector<uint32_t>, std::less<>> company_;
-  std::map<std::string, std::vector<uint32_t>, std::less<>> field_kind_;
-  std::map<std::string, std::vector<uint32_t>, std::less<>> field_value_;
-  std::map<std::string, std::vector<uint32_t>, std::less<>> year_;
-  std::map<std::string, std::vector<uint32_t>, std::less<>> text_;
-  std::map<std::string, int64_t> company_rows_;
-  std::map<std::string, int64_t> company_kind_rows_;
+  using Dict = StringKeyMap<std::vector<uint32_t>>;
+  static constexpr size_t kIndexCount = 5;
+
+  Dict& DictFor(SegmentIndex index);
+  const Dict& DictFor(SegmentIndex index) const;
+
+  /// Adds (`delta` = +1) or removes (-1) every index entry and count of
+  /// `row` at `ordinal`.
+  void IndexRow(const Row& row, uint32_t ordinal, int delta);
+
+  std::vector<Row> rows_;
+  Dict dicts_[kIndexCount];  ///< By SegmentIndex, in enum order.
+  StringKeyMap<int64_t> company_rows_;
+  StringKeyMap<int64_t> company_kind_rows_;
 };
 
 /// An immutable, mmap-backed sealed segment. Open() maps the file, checks
@@ -143,12 +232,10 @@ class SealedSegment {
       const std::function<void(const PostingsView&)>& fn) const;
 
   /// Per-company row counts (STATS section, parsed at open).
-  const std::unordered_map<std::string, int64_t>& company_rows() const {
-    return company_rows_;
-  }
+  const StringKeyMap<int64_t>& company_rows() const { return company_rows_; }
   /// Per-(company, kind) non-empty-field counts, keyed
   /// company + '\x1f' + kind.
-  const std::unordered_map<std::string, int64_t>& company_kind_rows() const {
+  const StringKeyMap<int64_t>& company_kind_rows() const {
     return company_kind_rows_;
   }
 
@@ -186,8 +273,8 @@ class SealedSegment {
   Dict field_value_;
   Dict year_;
   Dict text_;
-  std::unordered_map<std::string, int64_t> company_rows_;
-  std::unordered_map<std::string, int64_t> company_kind_rows_;
+  StringKeyMap<int64_t> company_rows_;
+  StringKeyMap<int64_t> company_kind_rows_;
 };
 
 }  // namespace goalex::storage

@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -236,17 +239,41 @@ TEST(ExecutorStressTest, ThousandNodeGraphIsExactUnderJitter) {
   }
 }
 
-// One root releasing a wide wave into its own shard forces the other
-// (otherwise idle) workers to steal.
+// One root releases a wide wave into its own worker's shard, so a wave
+// node that runs on the other worker was stolen. Each wave node holds its
+// worker until wave nodes have started on two threads: that makes the
+// steal necessary, not a matter of how fast the second worker wakes. The
+// root sleeps so the other worker is asleep when the wave lands: the
+// release must wake it (a notify that reached Run's caller instead left
+// it asleep through the whole wave).
 TEST(ExecutorTest, WorkStealingMovesWaveWorkAcrossShards) {
   runtime::ThreadPool pool(2);
   Executor executor(&pool);
   Graph graph;
-  const NodeId root = graph.Add([] {});
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  bool timed_out = false;
+  const NodeId root = graph.Add(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
   for (int i = 0; i < 8; ++i) {
-    graph.Add([] { SpinFor(std::chrono::microseconds(2000)); }, {root});
+    graph.Add(
+        [&] {
+          std::unique_lock<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+          cv.notify_all();
+          if (!cv.wait_for(lock, std::chrono::seconds(10), [&] {
+                return threads.size() >= 2 || timed_out;
+              })) {
+            timed_out = true;  // Later nodes stop waiting too.
+            cv.notify_all();
+          }
+        },
+        {root});
   }
   ASSERT_TRUE(executor.Run(graph).ok());
+  EXPECT_FALSE(timed_out)
+      << "no wave node started on a second worker within 10 s";
   EXPECT_GE(executor.last_run().steals, 1u);
 }
 

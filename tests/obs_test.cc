@@ -470,7 +470,8 @@ TEST(ObsStressTest, SnapshotDuringConcurrentWritesIsCoherent) {
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&registry, &stop, t] {
-      Counter* counter = registry.GetCounter("c" + std::to_string(t));
+      Counter* counter =
+          registry.GetCounter(std::string("c").append(std::to_string(t)));
       Histogram* histogram = registry.GetLatencyHistogram("h");
       while (!stop.load(std::memory_order_relaxed)) {
         counter->Increment();

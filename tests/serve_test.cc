@@ -150,8 +150,8 @@ TEST(RequestQueueTest, ConcurrentPushersAllArriveInArrivalOrderPerThread) {
   for (int t = 0; t < kThreads; ++t) {
     producers.emplace_back([&queue, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        queue.Push(NewRequest("p" + std::to_string(t) + "-" +
-                                  std::to_string(i),
+        queue.Push(NewRequest(std::string("p").append(std::to_string(t)) +
+                                  "-" + std::to_string(i),
                               Priority::kInteractive));
       }
     });
@@ -356,7 +356,9 @@ TEST(SchedulerTest, RequestsQueuedBehindBusyHandlerFormTheNextBatches) {
     std::vector<ResultFuture> futures;
     for (size_t i = 0; i < n; ++i) {
       futures.push_back(
-          scheduler.Submit(MakeObjective("q" + std::to_string(i))).value());
+          scheduler
+              .Submit(MakeObjective(std::string("q").append(std::to_string(i))))
+              .value());
     }
     gate.Open();
     EXPECT_TRUE(first.get().ok());
@@ -369,7 +371,7 @@ TEST(SchedulerTest, RequestsQueuedBehindBusyHandlerFormTheNextBatches) {
     EXPECT_EQ(log.BatchSizes(), expected_sizes);
     std::vector<std::string> expected_order = {"first"};
     for (size_t i = 0; i < n; ++i) {
-      expected_order.push_back("q" + std::to_string(i));
+      expected_order.push_back(std::string("q").append(std::to_string(i)));
     }
     EXPECT_EQ(log.Order(), expected_order);
 
@@ -620,8 +622,8 @@ TEST(SchedulerTest, ConcurrentProducersAreRaceFree) {
         Priority priority =
             (i % 3 == 0) ? Priority::kBulk : Priority::kInteractive;
         StatusOr<ResultFuture> submitted = scheduler.Submit(
-            MakeObjective("t" + std::to_string(t) + "-" +
-                          std::to_string(i)),
+            MakeObjective(std::string("t").append(std::to_string(t)) +
+                          "-" + std::to_string(i)),
             priority);
         if (!submitted.ok()) {
           shed_count.fetch_add(1);

@@ -5,7 +5,9 @@
 //    exact byte of the storage write stream; recovery from the surviving
 //    files must yield a row-id prefix of the workload whose ExportCsv is
 //    byte-identical to a never-crashed store of the same prefix — for every
-//    single budget in [0, total bytes written];
+//    single budget in [0, total bytes written]. One sweep runs an Insert
+//    feed, another an Upsert feed with in-place restatements, a Flush and
+//    the supersede of a sealed row;
 //  - a seeded corruption fuzzer: random bit flips, truncations, zero fills,
 //    and garbage appends over every file of a valid database directory must
 //    recover a valid subset of rows or fail with a clean DataLoss — never
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -43,7 +46,7 @@ std::vector<WorkloadOp> WorkloadOps(size_t count) {
   for (size_t i = 0; i < count; ++i) {
     WorkloadOp op;
     op.company = companies[i % companies.size()];
-    op.record.objective_id = "o" + std::to_string(i);
+    op.record.objective_id = std::string("o").append(std::to_string(i));
     op.record.objective_text =
         verbs[i % verbs.size()] + " co2 " + std::to_string(i * 5) + " pct";
     op.record.fields["Amount"] = std::to_string(i * 5) + "%";
@@ -145,6 +148,118 @@ TEST(StorageFaultTest, KillAtEveryWriteOffsetRecoversAnExactPrefix) {
   }
   EXPECT_TRUE(saw_zero);
   EXPECT_TRUE(saw_all);
+  std::filesystem::remove_all(dir);
+}
+
+/// The upsert feed of the crash sweep: each op changes the store (so every
+/// prefix has its own ExportCsv), and together they cover an in-place
+/// restatement, a Flush, a restatement of a sealed row (supersede) and an
+/// in-place restatement after the Flush.
+struct UpsertOp {
+  std::string company;
+  data::DetailRecord record;
+};
+
+std::vector<UpsertOp> UpsertOps() {
+  auto op = [](const std::string& company, const std::string& action,
+               const std::string& qualifier, const std::string& amount) {
+    UpsertOp result;
+    result.company = company;
+    result.record.objective_text =
+        action + " " + qualifier + " by " + amount;
+    result.record.fields["Action"] = action;
+    result.record.fields["Qualifier"] = qualifier;
+    result.record.fields["Amount"] = amount;
+    return result;
+  };
+  return {
+      op("Acme", "cut", "co2", "10%"),     // 0: new, id 0
+      op("Beta", "reuse", "water", "5%"),  // 1: new, id 1
+      op("Acme", "cut", "co2", "20%"),     // 2: in place, id 0 -> v2
+      op("Gamma", "plant", "trees", "1k"), // 3: new, id 2
+      // --- Flush: ids 0..2 are sealed ---
+      op("Beta", "reuse", "water", "8%"),  // 4: supersedes id 1 -> id 3
+      op("Acme", "audit", "sites", "3"),   // 5: new, id 4
+      op("Acme", "audit", "sites", "4"),   // 6: in place, id 4 -> v2
+      op("Acme", "cut", "co2", "30%"),     // 7: supersedes id 0 -> id 5
+  };
+}
+constexpr size_t kUpsertFlushAfter = 4;
+const std::vector<std::string> kUpsertKinds = {"Amount", kVersionField,
+                                               kSequenceField};
+
+DbOptions UpsertTestOptions(storage::Env* env) {
+  DbOptions options = TestOptions(env);
+  options.track_upserts = true;
+  return options;
+}
+
+/// Feeds `ops` (sequence = position) to `db`, calling Flush before op
+/// `flush_after`; `after_each(k)` runs once k ops are applied.
+void RunUpserts(ObjectiveDatabase& db, const std::vector<UpsertOp>& ops,
+                const std::function<void(size_t)>& after_each) {
+  after_each(0);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (i == kUpsertFlushAfter) (void)db.Flush();
+    db.Upsert(ops[i].record, ops[i].company, "doc", 1,
+              static_cast<int64_t>(i));
+    after_each(i + 1);
+  }
+}
+
+TEST(StorageFaultTest, UpsertKillAtEveryWriteOffsetRecoversAnExactPrefix) {
+  std::vector<UpsertOp> ops = UpsertOps();
+  std::string dir = TestDir("upsert_kill_sweep");
+
+  // Oracle: a never-crashed store fed the same ops, its ExportCsv after
+  // each prefix. Every op changes the store, so the prefixes are distinct.
+  std::vector<std::string> reference_csv;
+  std::filesystem::remove_all(dir);
+  storage::FaultInjectionEnv reference_env(storage::Env::Default());
+  {
+    ObjectiveDatabase reference(1, UpsertTestOptions(&reference_env));
+    ASSERT_TRUE(reference.Open(dir).ok());
+    RunUpserts(reference, ops, [&](size_t) {
+      reference_csv.push_back(reference.ExportCsv(kUpsertKinds));
+    });
+    EXPECT_EQ(reference.superseded_count(), 2u);
+  }
+  uint64_t total_bytes = reference_env.TotalBytesWritten();
+  ASSERT_GT(total_bytes, 0u);
+  ASSERT_LT(total_bytes, 60000u) << "workload grew; sweep would crawl";
+  std::map<std::string, size_t> prefix_of;
+  for (size_t k = 0; k < reference_csv.size(); ++k) {
+    ASSERT_TRUE(prefix_of.emplace(reference_csv[k], k).second)
+        << "prefixes " << k << " and " << prefix_of[reference_csv[k]]
+        << " export the same CSV";
+  }
+
+  size_t previous_prefix = 0;
+  std::set<size_t> seen;
+  for (uint64_t budget = 0; budget <= total_bytes; ++budget) {
+    std::filesystem::remove_all(dir);
+    {
+      storage::FaultInjectionEnv fault(storage::Env::Default());
+      fault.SetWriteBudget(static_cast<int64_t>(budget));
+      ObjectiveDatabase db(1, UpsertTestOptions(&fault));
+      if (db.Open(dir).ok()) RunUpserts(db, ops, [](size_t) {});
+    }
+
+    ObjectiveDatabase recovered(1,
+                                UpsertTestOptions(storage::Env::Default()));
+    ASSERT_TRUE(recovered.Open(dir).ok()) << "budget " << budget;
+    auto it = prefix_of.find(recovered.ExportCsv(kUpsertKinds));
+    ASSERT_NE(it, prefix_of.end())
+        << "budget " << budget << " recovered a state no prefix produces:\n"
+        << recovered.ExportCsv(kUpsertKinds);
+    const size_t prefix = it->second;
+    // Durability is monotone in the crash point.
+    EXPECT_GE(prefix, previous_prefix) << "budget " << budget;
+    previous_prefix = prefix;
+    seen.insert(prefix);
+  }
+  // With an fsync per record, every prefix is the outcome of some crash.
+  EXPECT_EQ(seen.size(), ops.size() + 1);
   std::filesystem::remove_all(dir);
 }
 

@@ -376,11 +376,11 @@ std::vector<Row> SegmentRows() {
 
 TEST_F(StorageTest, SegmentBuildsAndReopensWithAllIndexes) {
   std::vector<Row> rows = SegmentRows();
-  SegmentBuilder builder;
-  for (const Row& row : rows) builder.Add(row);
-  EXPECT_EQ(builder.num_rows(), rows.size());
+  GrowingSegment growing;
+  for (const Row& row : rows) growing.Append(row);
+  EXPECT_EQ(growing.num_rows(), rows.size());
   std::string path = Path("seg.gxseg");
-  ASSERT_TRUE(builder.WriteTo(env_, path).ok());
+  ASSERT_TRUE(growing.WriteTo(env_, path).ok());
 
   auto opened = SealedSegment::Open(env_, path);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
@@ -465,9 +465,9 @@ TEST_F(StorageTest, SegmentBuildsAndReopensWithAllIndexes) {
 
 TEST_F(StorageTest, SegmentOpenRejectsEveryCorruption) {
   std::vector<Row> rows = SegmentRows();
-  SegmentBuilder builder;
-  for (const Row& row : rows) builder.Add(row);
-  std::string image = builder.Serialize();
+  GrowingSegment growing;
+  for (const Row& row : rows) growing.Append(row);
+  std::string image = growing.Serialize();
   std::string path = Path("seg.gxseg");
 
   auto write_and_open = [&](const std::string& bytes) {

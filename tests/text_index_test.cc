@@ -1,22 +1,33 @@
-// QueryText correctness: the inverted-index path (growing term maps plus
-// sealed-segment posting lists) is checked against a brute-force scan that
-// re-derives term sets, phrase containment, and filter predicates per row
-// from first principles, over generated corpora and handmade edge cases.
+// Index correctness. QueryText (and, in the parity suite, every other
+// indexed query) is checked against a brute-force scan that re-derives
+// term sets, phrase containment and filter predicates per row from first
+// principles — the WordTokenizer definition of a term, not the index's own
+// tokenizer — over generated corpora and handmade edge cases. The parity
+// suite also pins the one index type (storage::GrowingSegment): queries
+// agree over growing, mixed and sealed stores, and an index maintained
+// through appends and in-place replacements serializes to the same bytes
+// as a fresh one fed the final rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
+#include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/database.h"
 #include "data/generator.h"
 #include "data/schema.h"
+#include "storage/env.h"
 #include "storage/row.h"
 #include "storage/segment.h"
+#include "text/word_tokenizer.h"
 
 namespace goalex::core {
 namespace {
@@ -48,10 +59,32 @@ std::vector<std::string_view> RowTexts(const DbRow& row) {
   return texts;
 }
 
+/// The reference definition of the index's terms: WordTokenizer tokens
+/// that hold an alphanumeric or non-ASCII byte, ASCII-lowercased.
+std::vector<std::string> ReferenceTerms(std::string_view text) {
+  std::vector<std::string> terms;
+  for (const text::Token& token : text::WordTokenizer().Tokenize(text)) {
+    bool indexable = false;
+    for (char c : token.text) {
+      unsigned char b = static_cast<unsigned char>(c);
+      if (std::isalnum(b) || b >= 0x80) indexable = true;
+    }
+    if (indexable) terms.push_back(AsciiToLower(token.text));
+  }
+  return terms;
+}
+
+bool ReferenceContainsPhrase(std::string_view text,
+                             const std::vector<std::string>& phrase) {
+  std::vector<std::string> stream = ReferenceTerms(text);
+  return std::search(stream.begin(), stream.end(), phrase.begin(),
+                     phrase.end()) != stream.end();
+}
+
 std::unordered_set<std::string> RowTermSet(const DbRow& row) {
   std::unordered_set<std::string> terms;
   for (std::string_view text : RowTexts(row)) {
-    for (std::string& term : storage::TextIndexTerms(text)) {
+    for (std::string& term : ReferenceTerms(text)) {
       terms.insert(std::move(term));
     }
   }
@@ -94,7 +127,7 @@ bool MatchesCase(const DbRow& row, const QueryCase& query_case,
   for (const std::vector<std::string>& phrase : query_case.phrases) {
     bool contiguous = false;
     for (std::string_view text : RowTexts(row)) {
-      if (storage::ContainsPhrase(text, phrase)) {
+      if (ReferenceContainsPhrase(text, phrase)) {
         contiguous = true;
         break;
       }
@@ -387,6 +420,401 @@ TEST(TextIndexTest, LargeCorpusParity) {
       EXPECT_GT(actual.size(), 0u) << "degenerate corpus: nothing matched";
     }
   }
+}
+
+// --- One index, many views: parity of the shared index type ---------------
+
+data::DetailRecord RecordOf(const data::Objective& objective) {
+  data::DetailRecord record;
+  record.objective_id = objective.id;
+  record.objective_text = objective.text;
+  for (const data::Annotation& annotation : objective.annotations) {
+    record.fields[annotation.kind] = annotation.value;
+  }
+  return record;
+}
+
+TEST(IndexParityTest, TextIndexTermsMatchTheWordTokenizerDefinition) {
+  std::vector<std::string> texts = {
+      "",
+      "10,000 tonnes",
+      "62.1% by 2030.",
+      "1,2,3 and 4.5.6",
+      ".5 5. ,5 5, 5,,5 5..5",
+      "a.b a,b 1.a a.1 a1,2 1,a2",
+      "Net-zero CO2-Emissions (Scope 1 + 2)!",
+      "Réduire les émissions de moitié — 50 %",
+      "\xe2\x82\xac""10m and \xc3\xa9t\xc3\xa9",
+      "\x80\xff raw\xfe bytes",
+      "...!!! ---,,, ;;;",
+      "tabs\tand\nnewlines\r\nand\vvertical\fform",
+      "MiXeD CaSe WORDS",
+      "trailing, 10,",
+  };
+  data::SustainabilityGoalsConfig goals;
+  goals.objective_count = 600;
+  goals.seed = 5;
+  for (const data::Objective& objective :
+       data::GenerateSustainabilityGoals(goals)) {
+    texts.push_back(objective.text);
+    for (const data::Annotation& annotation : objective.annotations) {
+      texts.push_back(annotation.value);
+    }
+  }
+  for (const std::string& text : data::GeneratorVocabularyTexts()) {
+    texts.push_back(text);
+  }
+  // Random strings over the bytes the tokenizer treats specially.
+  const std::string alphabet =
+      "aZq09.,. ,\t\n-%\"()!_/\x80\xc3\xa9\xe2\x82\xac\xff";
+  std::mt19937 rng(16);
+  for (int i = 0; i < 4000; ++i) {
+    std::string text;
+    size_t length = rng() % 40;
+    for (size_t j = 0; j < length; ++j) {
+      text.push_back(alphabet[rng() % alphabet.size()]);
+    }
+    texts.push_back(std::move(text));
+  }
+
+  for (const std::string& text : texts) {
+    std::vector<std::string> expected = ReferenceTerms(text);
+    ASSERT_EQ(storage::TextIndexTerms(text), expected) << "text: " << text;
+    // Phrase matching reads the same term stream.
+    if (expected.size() >= 2) {
+      std::vector<std::string> slice(expected.end() - 2, expected.end());
+      EXPECT_TRUE(storage::ContainsPhrase(text, slice)) << text;
+      std::vector<std::string> reversed(slice.rbegin(), slice.rend());
+      EXPECT_EQ(storage::ContainsPhrase(text, reversed),
+                ReferenceContainsPhrase(text, reversed))
+          << text;
+    }
+  }
+}
+
+TEST(IndexParityTest, MaintainedIndexSerializesLikeAFreshOne) {
+  data::SustainabilityGoalsConfig goals;
+  goals.objective_count = 400;
+  goals.seed = 9;
+  std::vector<data::Objective> corpus = data::GenerateSustainabilityGoals(goals);
+  const std::vector<std::string> companies = {"Acme", "Beta", "Gamma",
+                                              "Delta", ""};
+  std::mt19937 rng(23);
+  auto random_row = [&](int64_t id) {
+    storage::Row row;
+    row.row_id = id;
+    row.company = companies[rng() % companies.size()];
+    row.document = "report-" + std::to_string(rng() % 3);
+    row.page = static_cast<int>(rng() % 50);
+    row.record = RecordOf(corpus[rng() % corpus.size()]);
+    // Empty values are stored but never indexed.
+    if (rng() % 4 == 0) row.record.fields["Amount"] = "";
+    row.record.fields[kVersionField] = std::to_string(1 + rng() % 3);
+    return row;
+  };
+
+  storage::GrowingSegment maintained;
+  std::vector<storage::Row> rows;
+  int64_t next_id = 100;
+  auto expect_fresh_equal = [&](const std::string& label) {
+    storage::GrowingSegment fresh;
+    for (const storage::Row& row : rows) fresh.Append(row);
+    EXPECT_EQ(maintained.Serialize(), fresh.Serialize()) << label;
+  };
+  for (int step = 0; step < 1500; ++step) {
+    if (rows.empty() || rng() % 10 < 6) {
+      next_id += 1 + static_cast<int64_t>(rng() % 3);  // Ids may have gaps.
+      rows.push_back(random_row(next_id));
+      maintained.Append(rows.back());
+    } else {
+      // An in-place restatement: same id, new content.
+      size_t ordinal = rng() % rows.size();
+      rows[ordinal] = random_row(rows[ordinal].row_id);
+      maintained.Replace(static_cast<uint32_t>(ordinal), rows[ordinal]);
+    }
+    if (step % 300 == 299) expect_fresh_equal("step " + std::to_string(step));
+  }
+  // Restating every row with the content of another empties keys out.
+  for (size_t ordinal = 0; ordinal < rows.size(); ++ordinal) {
+    storage::Row restated = rows[(ordinal + 1) % rows.size()];
+    restated.row_id = rows[ordinal].row_id;
+    rows[ordinal] = restated;
+    maintained.Replace(static_cast<uint32_t>(ordinal), restated);
+  }
+  expect_fresh_equal("after restating every row");
+}
+
+/// A reference model of ObjectiveDatabase's upsert semantics over plain
+/// maps: the live rows by id, and the live id of each upsert key.
+struct UpsertModel {
+  std::map<int64_t, DbRow> live;
+  std::map<std::string, int64_t> latest;
+  int64_t next_id = 0;
+  int64_t sealed_upto = -1;  ///< Rows at or below are immutable.
+  /// What the upserts did, so the test can check it covers each case.
+  std::map<std::string, int> outcomes;
+
+  void Insert(const data::DetailRecord& record, const std::string& company,
+              const std::string& document, int page) {
+    DbRow row{next_id++, company, document, page, record};
+    latest[ObjectiveUpsertKey(company, record)] = row.row_id;
+    live[row.row_id] = row;
+  }
+
+  void Upsert(const data::DetailRecord& record, const std::string& company,
+              const std::string& document, int page, int64_t sequence) {
+    DbRow fresh{-1, company, document, page, record};
+    fresh.record.fields[kSequenceField] = std::to_string(sequence);
+    std::string key = ObjectiveUpsertKey(company, record);
+    auto it = latest.find(key);
+    if (it == latest.end()) {
+      fresh.row_id = next_id++;
+      fresh.record.fields[kVersionField] = "1";
+      latest[key] = fresh.row_id;
+      live[fresh.row_id] = fresh;
+      return;
+    }
+    const DbRow& old = live.at(it->second);
+    if (sequence < RecordSequence(old.record)) {
+      ++outcomes["stale"];
+      return;
+    }
+    int32_t version = RecordVersion(old.record);
+    fresh.record.fields[kVersionField] = std::to_string(version);
+    fresh.row_id = old.row_id;
+    if (fresh.document == old.document && fresh.page == old.page &&
+        fresh.record.objective_id == old.record.objective_id &&
+        fresh.record.objective_text == old.record.objective_text &&
+        fresh.record.fields == old.record.fields) {
+      ++outcomes["identical"];
+      return;
+    }
+    fresh.record.fields[kVersionField] = std::to_string(version + 1);
+    if (old.row_id > sealed_upto) {
+      ++outcomes["in place"];
+      live[old.row_id] = fresh;
+      return;
+    }
+    ++outcomes["superseded"];
+    live.erase(old.row_id);
+    fresh.row_id = next_id++;
+    it->second = fresh.row_id;
+    live[fresh.row_id] = fresh;
+  }
+
+  void Flush() { sealed_upto = next_id - 1; }
+};
+
+std::vector<int64_t> ModelIds(const UpsertModel& model,
+                              const std::function<bool(const DbRow&)>& pred) {
+  std::vector<int64_t> ids;
+  for (const auto& [id, row] : model.live) {
+    if (pred(row)) ids.push_back(id);
+  }
+  return ids;
+}
+
+/// Every query kind of `db` against brute force over the model's rows.
+void ExpectQueriesMatchModel(const ObjectiveDatabase& db,
+                             const UpsertModel& model,
+                             const std::string& label) {
+  SCOPED_TRACE(label);
+  std::vector<DbRow> rows;
+  for (const auto& [id, row] : model.live) rows.push_back(row);
+
+  // Full contents, as SnapshotRows/ExportCsv serve them.
+  std::vector<DbRow> snapshot = db.SnapshotRows();
+  ASSERT_EQ(snapshot.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(snapshot[i].row_id, rows[i].row_id);
+    EXPECT_EQ(snapshot[i].company, rows[i].company);
+    EXPECT_EQ(snapshot[i].document, rows[i].document);
+    EXPECT_EQ(snapshot[i].page, rows[i].page);
+    EXPECT_EQ(snapshot[i].record.objective_text,
+              rows[i].record.objective_text);
+    EXPECT_EQ(snapshot[i].record.fields, rows[i].record.fields);
+  }
+  EXPECT_EQ(db.live_size(), rows.size());
+
+  std::set<std::string> companies;
+  for (const DbRow& row : rows) companies.insert(row.company);
+  EXPECT_EQ(db.Companies(),
+            std::vector<std::string>(companies.begin(), companies.end()));
+  companies.insert("Nobody");
+  std::map<std::string, int64_t> counts;
+  for (const DbRow& row : rows) ++counts[row.company];
+  EXPECT_EQ(db.CountPerCompany(), counts);
+  for (const std::string& company : companies) {
+    EXPECT_EQ(Ids(db.ByCompany(company)),
+              ModelIds(model, [&](const DbRow& row) {
+                return row.company == company;
+              }))
+        << company;
+  }
+
+  const std::vector<std::string> kinds = {
+      "Action", "Amount",      "Qualifier",    "Deadline",
+      "Baseline", kVersionField, kSequenceField, "NoSuchKind"};
+  for (const std::string& kind : kinds) {
+    EXPECT_EQ(Ids(db.WithField(kind)), ModelIds(model, [&](const DbRow& row) {
+                return !row.record.FieldOrEmpty(kind).empty();
+              }))
+        << kind;
+    std::map<std::string, double> coverage;
+    for (const auto& [company, total] : counts) {
+      int64_t covered = 0;
+      for (const DbRow& row : rows) {
+        if (row.company == company && !row.record.FieldOrEmpty(kind).empty()) {
+          ++covered;
+        }
+      }
+      coverage[company] =
+          static_cast<double>(covered) / static_cast<double>(total);
+    }
+    EXPECT_EQ(db.FieldCoverageByCompany(kind), coverage) << kind;
+  }
+  for (size_t i = 0; i < rows.size(); i += 29) {
+    for (const auto& [kind, value] : rows[i].record.fields) {
+      if (value.empty()) continue;
+      EXPECT_EQ(Ids(db.WhereFieldEquals(kind, value)),
+                ModelIds(model, [&](const DbRow& row) {
+                  return row.record.FieldOrEmpty(kind) == value;
+                }))
+          << kind << "=" << value;
+    }
+  }
+
+  auto year_between = [&](int lo, int hi) {
+    return ModelIds(model, [&](const DbRow& row) {
+      std::optional<int> year = storage::DeadlineYearOfRecord(row.record);
+      return year.has_value() && *year >= lo && *year <= hi;
+    });
+  };
+  for (int year = 2020; year <= 2050; year += 3) {
+    EXPECT_EQ(Ids(db.ByDeadlineYear(year)), year_between(year, year))
+        << year;
+  }
+  EXPECT_EQ(Ids(db.DeadlineYearBetween(2025, 2035)), year_between(2025, 2035));
+  EXPECT_EQ(Ids(db.DeadlineYearBetween(-5000, 5000)),
+            year_between(-5000, 5000));
+
+  std::vector<QueryCase> cases = CorpusQueries();
+  cases.push_back({"2", {"2"}, {}, {}});  // Hits _version values too.
+  for (const QueryCase& query_case : cases) {
+    EXPECT_EQ(Ids(db.QueryText(query_case.query, query_case.filter)),
+              BruteForce(rows, query_case))
+        << "query \"" << query_case.query << "\"";
+  }
+}
+
+TEST(IndexParityTest, QueriesAgreeOverGrowingFlushedAndBruteForce) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "goalex_index_parity_test")
+                        .string();
+  std::filesystem::remove_all(dir);
+  data::SustainabilityGoalsConfig goals;
+  goals.objective_count = 700;
+  goals.seed = 31;
+  std::vector<data::Objective> corpus = data::GenerateSustainabilityGoals(goals);
+
+  struct Op {
+    bool insert = false;
+    data::DetailRecord record;
+    std::string company;
+    std::string document;
+    int page = 0;
+    int64_t sequence = 0;
+  };
+  // Upserts go to five companies (many key clashes, so many
+  // restatements); plain inserts to two others, whose keys no upsert
+  // touches.
+  std::mt19937 rng(41);
+  std::vector<Op> ops;
+  std::vector<size_t> upserts;  // Indices of upsert ops in `ops`.
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    Op op;
+    op.record = RecordOf(corpus[i]);
+    op.insert = rng() % 8 == 0;
+    op.company = kCompanies[op.insert ? 5 + rng() % 2 : rng() % 5];
+    op.document = "report-" + std::to_string(rng() % 3);
+    op.page = static_cast<int>(rng() % 9);
+    const uint32_t roll = rng() % 10;
+    if (!op.insert && !upserts.empty() && roll < 3) {
+      // Restate an earlier target with changed details.
+      op = ops[upserts[rng() % upserts.size()]];
+      op.record.fields["Amount"] = std::to_string(rng() % 90) + "%";
+      op.record.objective_text += " (restated)";
+    } else if (!op.insert && !upserts.empty() && roll < 4) {
+      // A replayed delivery, with its old sequence.
+      ops.push_back(ops[upserts[rng() % upserts.size()]]);
+      continue;
+    }
+    op.sequence = static_cast<int64_t>(ops.size());
+    if (!op.insert) upserts.push_back(ops.size());
+    ops.push_back(op);
+  }
+
+  DbOptions options;
+  options.background_seal = false;
+  options.track_upserts = true;
+  UpsertModel model;
+  {
+    ObjectiveDatabase db(4, options);
+    ASSERT_TRUE(db.Open(dir).ok());
+    auto run = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const Op& op = ops[i];
+        if (op.insert) {
+          db.Insert(op.record, op.company, op.document, op.page);
+          model.Insert(op.record, op.company, op.document, op.page);
+        } else {
+          db.Upsert(op.record, op.company, op.document, op.page, op.sequence);
+          model.Upsert(op.record, op.company, op.document, op.page,
+                       op.sequence);
+        }
+      }
+    };
+    const size_t half = ops.size() / 2;
+    run(0, half);
+    ExpectQueriesMatchModel(db, model, "growing");
+    ASSERT_TRUE(db.Flush().ok());
+    model.Flush();
+    ExpectQueriesMatchModel(db, model, "flushed");
+    run(half, ops.size());  // Restates sealed rows (supersede) and new ones.
+    ASSERT_GT(db.superseded_count(), 0u);
+    ExpectQueriesMatchModel(db, model, "sealed + growing");
+    ASSERT_TRUE(db.Flush().ok());
+    model.Flush();
+    ExpectQueriesMatchModel(db, model, "flushed twice");
+  }
+  for (const char* outcome : {"stale", "identical", "in place", "superseded"}) {
+    EXPECT_GT(model.outcomes[outcome], 0) << outcome;
+  }
+  ObjectiveDatabase reopened(4, options);
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  ExpectQueriesMatchModel(reopened, model, "reopened");
+
+  // Each sealed image equals, byte for byte, a fresh index fed the same
+  // rows in row-id order.
+  size_t segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".gxseg") continue;
+    const std::string path = entry.path().string();
+    auto sealed = storage::SealedSegment::Open(storage::Env::Default(), path);
+    ASSERT_TRUE(sealed.ok()) << path;
+    storage::GrowingSegment fresh;
+    for (uint64_t ordinal = 0; ordinal < (*sealed)->num_rows(); ++ordinal) {
+      DbRow row;
+      ASSERT_TRUE((*sealed)->ReadRow(ordinal, &row));
+      fresh.Append(std::move(row));
+    }
+    auto bytes = storage::Env::Default()->ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(*bytes, fresh.Serialize()) << path;
+    ++segments;
+  }
+  EXPECT_EQ(segments, reopened.SealedSegmentCount());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
